@@ -10,8 +10,8 @@ from .coxeter import (CheckReport, CheckResult, ReflectionMatrix,
                       quadratic_form_graph, sigma_reflect,
                       symmetric_euler_form, symmetric_form_matrix,
                       verify_identities)
-from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
-                     NotUnimodular, QcoxError, QuiverSyntaxError,
+from .errors import (DegreeCapExceeded, DimensionBudgetExceeded, LoopAtVertex,
+                     NotAcyclic, NotUnimodular, QcoxError, QuiverSyntaxError,
                      ValidationError)
 from .polyring import (Polynomial, PolyMatrix, Rational, format_rational,
                        parse_rational, poly_vector, rank_rational)

@@ -2,31 +2,45 @@
 relations: dimension tables per degree, the q-weighted Cartan matrix, and
 graded dimension vectors of simples, projectives and injectives.
 
-The degree-d component between a fixed pair of vertices is spanned by the
-length-d paths between them, modulo the span of all products p*r*s where r
-is a generating relation, p runs over paths into r's source and s over
-paths out of r's target, with total length d.  Because relations are
-homogeneous with fixed endpoints, that span splits into independent
-(source, target, degree) blocks, and each block needs one exact rank
-computation.
+The quotient A = kQ/I is built degree by degree as a basis of normal
+words together with a reduction map that rewrites every other word in
+that basis.  Since I_d = I_{d-1}*kQ_1 + kQ_{d-L}*R_L summed over the
+relation lengths L, degree d needs only:
+
+- the candidates: the normal words of degree d-1, each followed by one
+  arrow.  Modulo I_{d-1}*kQ_1 they form a basis of kQ_d;
+- the new ideal rows NF(p*r): p a normal word of degree d-L, r a relation
+  of length L.  A product p*r*s with a non-empty tail s already lies in
+  I_{d-1}*kQ_1.
+
+Relations are homogeneous with fixed endpoints, so the rows split into
+independent (source, target) blocks, each reduced exactly by
+``polyring.echelon``.  The pivot candidates are rewritten by their rows;
+the others are the normal words of degree d.  Work per degree is bounded
+by dim A_{d-1} times the number of arrows, not by the number of paths.
 
 Degrees are processed in ascending order and stop at the first degree
-d >= 1 whose total dimension vanishes: the quotient is generated in
-degrees <= 1, so every later degree vanishes too (the next degree is
-recomputed and asserted zero on every run as a self-check).  If no such
-degree exists below the cap, DegreeCapExceeded is raised.
+d >= 1 without normal words: the next degree has no candidates, so every
+later degree vanishes too.  If no such degree exists below the cap,
+DegreeCapExceeded is raised; a degree whose basis would grow past
+``max_dim`` raises DimensionBudgetExceeded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DegreeCapExceeded
-from .polyring import Polynomial, PolyMatrix, rank_rational
+from .errors import DegreeCapExceeded, DimensionBudgetExceeded
+from .polyring import Polynomial, PolyMatrix, echelon
+# the benchmark's span tracer wraps rank_rational as an attribute of this module
+from .polyring import rank_rational  # noqa: F401
 from .quiverdsl import BoundQuiver, Path, Quiver
 
 DEFAULT_DEGREE_CAP = 64
+DEFAULT_MAX_DIM = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,15 +65,6 @@ class GradedDimTable:
         return {"dims": entries, "max_degree": self.max_degree}
 
 
-def _extend_paths(quiver: Quiver, frontier: list[Path],
-                  out_arrows: list[list[int]]) -> list[Path]:
-    nxt = []
-    for p in frontier:
-        for idx in out_arrows[p.target]:
-            nxt.append(Path(p.arrows + (idx,), p.source, quiver.arrows[idx].target))
-    return nxt
-
-
 def _out_arrows(quiver: Quiver) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(quiver.n)]
     for idx, a in enumerate(quiver.arrows):
@@ -73,81 +78,149 @@ def iter_paths_by_degree(quiver: Quiver) -> Iterator[list[Path]]:
     frontier = [Path.trivial(v) for v in range(quiver.n)]
     while True:
         yield frontier
-        frontier = _extend_paths(quiver, frontier, out)
+        frontier = [Path(p.arrows + (idx,), p.source, quiver.arrows[idx].target)
+                    for p in frontier for idx in out[p.target]]
 
 
 def enumerate_paths(quiver: Quiver, source: int, target: int, length: int) -> list[Path]:
     """All length-d paths source -> target, lexicographic in arrow indices."""
     if length < 0:
         raise ValueError("path length must be non-negative")
-    out = _out_arrows(quiver)
-    frontier = [Path.trivial(source)]
-    for _ in range(length):
-        frontier = _extend_paths(quiver, frontier, out)
-    return [p for p in frontier if p.target == target]
+    paths = next(islice(iter_paths_by_degree(quiver), length, None))
+    return [p for p in paths if p.source == source and p.target == target]
 
 
-def _block_dims(quiver: Quiver, relations, paths_by_degree: list[list[Path]],
-                degree: int) -> dict[tuple[int, int], int]:
-    """Dimensions of every (source, target) block at one degree."""
-    # basis per block, with column lookup by arrow tuple
-    blocks: dict[tuple[int, int], list[Path]] = {}
-    for p in paths_by_degree[degree]:
-        blocks.setdefault((p.source, p.target), []).append(p)
-    col_of: dict[tuple[int, int], dict[tuple[int, ...], int]] = {
-        key: {p.arrows: c for c, p in enumerate(paths)} for key, paths in blocks.items()}
-    span_rows: dict[tuple[int, int], list[list]] = {key: [] for key in blocks}
-    for rel in relations:
-        gap = degree - rel.length
-        if gap < 0:
-            continue
-        for head_len in range(gap + 1):
-            tail_len = gap - head_len
-            heads = [p for p in paths_by_degree[head_len] if p.target == rel.source]
-            tails = [p for p in paths_by_degree[tail_len] if p.source == rel.target]
-            for head in heads:
-                for tail in tails:
-                    key = (head.source, tail.target)
-                    cols = col_of[key]
-                    row = [0] * len(cols)
-                    for coeff, mid in rel.terms:
-                        row[cols[head.arrows + mid.arrows + tail.arrows]] += coeff
-                    span_rows[key].append(row)
-    return {key: len(paths) - rank_rational(span_rows[key])
-            for key, paths in blocks.items()}
+class _Degree:
+    """One degree of the quotient.  Candidates are numbered in
+    lexicographic order of their words; normal words keep their candidate
+    number, and ``reduce`` maps every other candidate to its normal form."""
+
+    __slots__ = ("src", "tgt", "base", "reduce", "words")
+
+    def __init__(self, src: list[int], tgt: list[int], base: list[int],
+                 words: list[int]):
+        self.src = src              # per candidate: source and target vertex
+        self.tgt = tgt
+        self.base = base            # per previous candidate: number of its first extension
+        self.reduce: dict[int, dict] = {}
+        self.words = words          # normal words: candidates not in reduce
+
+    def append(self, combo: Mapping[int, object], step: int) -> dict:
+        """Normal form of combo*arrow, for a combination of words of the
+        previous degree ending where the arrow starts; ``step`` is the
+        arrow's position among the arrows out of that vertex."""
+        out: dict = {}
+        for w, c in combo.items():
+            k = self.base[w] + step
+            image = self.reduce.get(k)
+            if image is None:
+                out[k] = out.get(k, 0) + c
+            else:
+                for v, e in image.items():
+                    out[v] = out.get(v, 0) + c * e
+        return {k: c for k, c in out.items() if c}
 
 
-def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP) -> GradedDimTable:
-    """Graded dimension table of the quotient algebra, computed degreewise."""
+def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
+                max_dim: int = DEFAULT_MAX_DIM) -> GradedDimTable:
+    """Graded dimension table of the quotient algebra, computed degreewise
+    from normal words (see the module docstring)."""
     quiver = bq.quiver
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")
-    paths_iter = iter_paths_by_degree(quiver)
-    paths_by_degree = [next(paths_iter)]
-    dims: dict[tuple[int, int, int], int] = {(v, v, 0): 1 for v in range(quiver.n)}
+    if max_dim < 1:
+        raise ValueError("max_dim must be positive")
+    n = quiver.n
+    out = _out_arrows(quiver)
+    step = [0] * len(quiver.arrows)
+    for arrows in out:
+        for i, a in enumerate(arrows):
+            step[a] = i
+    out_tgt = [[quiver.arrows[a].target for a in arrows] for arrows in out]
+    # relations by length, then by source vertex: (target, [(coeff, arrows)])
+    starts: dict[int, list[list]] = {}
+    for rel in bq.relations:
+        terms = [(c.numerator if c.denominator == 1 else c, m.arrows) for c, m in rel.terms]
+        starts.setdefault(rel.length, [[] for _ in range(n)])[rel.source].append(
+            (rel.target, terms))
+    keep = max(starts, default=1)   # degrees still needed below the current one
+
+    trivial = list(range(n))
+    degrees: list[_Degree | None] = [_Degree(trivial, trivial, [], trivial)]
+    dims: dict[tuple[int, int, int], int] = {(v, v, 0): 1 for v in range(n)}
     for degree in range(1, degree_cap + 1):
-        paths_by_degree.append(next(paths_iter))
-        block = _block_dims(quiver, bq.relations, paths_by_degree, degree)
-        total = 0
-        for (i, j), value in block.items():
-            if value:
-                dims[(i, j, degree)] = value
-                total += value
-        if total == 0:
-            # generation in degree <= 1 forces every later degree to vanish;
-            # recompute the next degree and check
-            paths_by_degree.append(next(paths_iter))
-            follow_up = _block_dims(quiver, bq.relations, paths_by_degree, degree + 1)
-            assert all(v == 0 for v in follow_up.values()), \
-                "dimension reappeared after a vanishing degree"
-            return GradedDimTable(quiver.n, degree, dims)
+        prev = degrees[-1]
+        base = [0] * len(prev.src)
+        n_cand = 0
+        for w in prev.words:
+            base[w] = n_cand
+            n_cand += len(out[prev.tgt[w]])
+        cur = _Degree([], [], base, [])
+        degrees.append(cur)
+        blocks = _relation_rows(starts, degrees, degree, step)
+        # the rank is at most the number of rows: fail before building candidates
+        if n_cand - sum(map(len, blocks.values())) > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        for w in prev.words:
+            cur.src.extend([prev.src[w]] * len(out[prev.tgt[w]]))
+            cur.tgt.extend(out_tgt[prev.tgt[w]])
+        for rows in blocks.values():
+            for lead, row in echelon(rows).items():
+                cur.reduce[lead] = {c: -v for c, v in row.items() if c != lead}
+        cur.words = [k for k in range(n_cand) if k not in cur.reduce]
+        if len(cur.words) > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        if not cur.words:
+            return GradedDimTable(n, degree, dims)
+        for (i, j), value in Counter((cur.src[k], cur.tgt[k]) for k in cur.words).items():
+            dims[(i, j, degree)] = value
+        if degree >= keep:
+            degrees[degree - keep] = None
     raise DegreeCapExceeded(degree_cap)
 
 
-def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP) -> PolyMatrix:
+def _relation_rows(starts: dict[int, list[list]], degrees: list, degree: int,
+                   step: list[int]) -> dict[tuple[int, int], list]:
+    """The new ideal rows NF(p*r) of one degree over its candidates,
+    grouped by (source, target) block."""
+    cur = degrees[degree]
+    memo: dict[tuple, dict] = {}
+
+    def normal_form(length: int, p: int, prefix: tuple[int, ...]) -> dict:
+        # NF of the word p*prefix, where p is a normal word of degree - length
+        key = (length, p, prefix)
+        if key not in memo:
+            if prefix:
+                lower = normal_form(length, p, prefix[:-1])
+                memo[key] = degrees[degree - length + len(prefix)].append(
+                    lower, step[prefix[-1]])
+            else:
+                memo[key] = {p: 1}
+        return memo[key]
+
+    blocks: dict[tuple[int, int], list] = {}
+    for length, by_source in starts.items():
+        if length > degree:
+            continue
+        low = degrees[degree - length]
+        for p in low.words:
+            for target, terms in by_source[low.tgt[p]]:
+                row: dict = {}
+                for coeff, path in terms:
+                    for k, c in cur.append(normal_form(length, p, path[:-1]),
+                                           step[path[-1]]).items():
+                        row[k] = row.get(k, 0) + coeff * c
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    blocks.setdefault((low.src[p], target), []).append(row)
+    return blocks
+
+
+def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
+                  max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
     """q-weighted Cartan matrix: entry (i, j) counts the graded dimensions
     of the component from i to j, one power of q per degree."""
-    table = graded_dims(bq, degree_cap)
+    table = graded_dims(bq, degree_cap, max_dim)
     n = bq.quiver.n
     coeffs = [[[0] * (table.max_degree + 1) for _ in range(n)] for _ in range(n)]
     for (i, j, d), value in table.dims.items():

@@ -4,7 +4,8 @@ Subcommands: cartan, coxeter, dims, forms, reflect, numbering, verify.
 Input files are quiver descriptions (.qv, or any extension other than
 .json) or the equivalent JSON schema (.json).  Output formats: plain,
 json, latex.  Exit codes: 0 success, 1 a verification check failed,
-2 bad input or a model error (the message names the error kind).
+2 bad input, a model error or a resource limit (the message names the
+error kind).
 """
 
 from __future__ import annotations
@@ -123,14 +124,15 @@ def _vertex_index(bq: BoundQuiver, name: str | None) -> int | None:
 # --- commands ---------------------------------------------------------------
 
 def _cmd_cartan(args, bq: BoundQuiver) -> int:
-    matrix = algebra.cartan_matrix(bq, args.degree_cap)
+    matrix = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
     print(render_matrix(matrix, args.format, args.at_q))
     return 0
 
 
 def _cmd_coxeter(args, bq: BoundQuiver) -> int:
     matrix = coxeter.coxeter_matrix_bound(bq, method=args.method,
-                                          degree_cap=args.degree_cap)
+                                          degree_cap=args.degree_cap,
+                                          max_dim=args.max_dim)
     print(render_matrix(matrix, args.format, args.at_q))
     return 0
 
@@ -138,7 +140,7 @@ def _cmd_coxeter(args, bq: BoundQuiver) -> int:
 def _cmd_dims(args, bq: BoundQuiver) -> int:
     kind = next((k for k in algebra.KINDS if getattr(args, k)), None)
     if kind is None:
-        table = algebra.graded_dims(bq, args.degree_cap)
+        table = algebra.graded_dims(bq, args.degree_cap, args.max_dim)
         if args.format == "json":
             print(_dumps(table.to_json_obj(bq.quiver.vertices)))
         else:
@@ -147,7 +149,7 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
                 print(f"{names[i]} -> {names[j]}  degree {d}: {value}")
             print(f"max_degree: {table.max_degree}")
         return 0
-    cartan = algebra.cartan_matrix(bq, args.degree_cap)
+    cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
     vertex = _vertex_index(bq, args.vertex)
     vertices = range(bq.quiver.n) if vertex is None else [vertex]
     rows = []
@@ -171,7 +173,7 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
 
 
 def _cmd_forms(args, bq: BoundQuiver) -> int:
-    cartan = algebra.cartan_matrix(bq, args.degree_cap)
+    cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
     x = _parse_vector(args.x, cartan.n)
     y = _parse_vector(args.y, cartan.n)
     if args.symmetric:
@@ -215,13 +217,13 @@ def _cmd_numbering(args, bq: BoundQuiver) -> int:
 
 
 def _cmd_verify(args, bq: BoundQuiver) -> int:
-    reports = [("input", coxeter.verify_identities(bq, seed=args.seed,
-                                                   degree_cap=args.degree_cap))]
+    limits = {"degree_cap": args.degree_cap, "max_dim": args.max_dim}
+    reports = [("input", coxeter.verify_identities(bq, seed=args.seed, **limits))]
     rng = random.Random(args.seed)
     for k in range(args.random):
         extra = random_bound_quiver(rng)
         reports.append((f"random[{k}]", coxeter.verify_identities(
-            extra, seed=args.seed, degree_cap=args.degree_cap)))
+            extra, seed=args.seed, **limits)))
     all_passed = all(report.passed for _, report in reports)
     if args.format == "json":
         payload = {"passed": all_passed,
@@ -260,6 +262,13 @@ def _degree_cap(text: str) -> int:
     return value
 
 
+def _max_dim(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("max dim must be positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="quiver file (.qv text or .json)")
@@ -268,6 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--degree-cap", type=_degree_cap, default=algebra.DEFAULT_DEGREE_CAP,
                         dest="degree_cap",
                         help="abort if graded dimensions persist past this degree")
+    common.add_argument("--max-dim", type=_max_dim, default=algebra.DEFAULT_MAX_DIM,
+                        dest="max_dim",
+                        help="abort if one degree of the quotient algebra has a basis "
+                             f"larger than this (default: {algebra.DEFAULT_MAX_DIM})")
     common.add_argument("--at-q", type=parse_rational, default=None, dest="at_q",
                         metavar="RATIONAL", help="evaluate output at q = RATIONAL")
 

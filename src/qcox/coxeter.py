@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DEFAULT_DEGREE_CAP, cartan_matrix, dim_vector
+from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_matrix, dim_vector
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
 from .polyring import ONE, Polynomial, PolyMatrix, poly_vector
@@ -192,7 +192,8 @@ def gamma_reflection(cartan: PolyMatrix, i: int,
 
 def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
                          degree_cap: int = DEFAULT_DEGREE_CAP,
-                         cartan: PolyMatrix | None = None) -> PolyMatrix:
+                         cartan: PolyMatrix | None = None,
+                         max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
     """Coxeter matrix of a bound quiver.
 
     method="cartan" computes -C^T C^-1 and works for any quiver whose
@@ -202,7 +203,7 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     agree on acyclic input.
     """
     if cartan is None:
-        cartan = cartan_matrix(bq, degree_cap)
+        cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
         inverse = cartan.inverse_unimodular()
         return -(cartan.transpose() * inverse)
@@ -267,7 +268,8 @@ class CheckReport:
 
 
 def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> CheckReport:
+                      degree_cap: int = DEFAULT_DEGREE_CAP,
+                      max_dim: int = DEFAULT_MAX_DIM) -> CheckReport:
     """Verify every applicable identity as an exact polynomial-matrix
     equation; inapplicable ones are reported as skipped with the reason."""
     quiver = bq.quiver
@@ -323,7 +325,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
 
     # Cartan matrix of the bound quiver, shared by everything below
     try:
-        cartan = cartan_matrix(bq, degree_cap)
+        cartan = cartan_matrix(bq, degree_cap, max_dim)
         cartan_reason = ""
     except DegreeCapExceeded as exc:
         cartan = None
@@ -345,7 +347,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         for i in quiver.sinks():
             s = graph_reflection(quiver, i).matrix
             flipped = sigma_reflect(quiver, i)
-            flipped_c = cartan_matrix(BoundQuiver(flipped), degree_cap)
+            flipped_c = cartan_matrix(BoundQuiver(flipped), degree_cap, max_dim)
             flipped_phi = coxeter_matrix_graph(flipped)
             sink_c_ok = sink_c_ok and flipped_c == s * cartan * s.transpose()
             sink_phi_ok = sink_phi_ok and flipped_phi == s * phi * s

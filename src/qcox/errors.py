@@ -66,3 +66,13 @@ class DegreeCapExceeded(QcoxError):
     def __init__(self, cap: int):
         super().__init__(f"no vanishing degree up to cap {cap}")
         self.cap = cap
+
+
+class DimensionBudgetExceeded(QcoxError):
+    """The basis of one degree of the quotient algebra grows past the
+    budget; computing it would take too much time and memory."""
+
+    def __init__(self, max_dim: int, degree: int):
+        super().__init__(f"degree {degree} has more than {max_dim} basis elements")
+        self.max_dim = max_dim
+        self.degree = degree

@@ -11,14 +11,14 @@ immutable row tuples of polynomials.
 The determinant uses fraction-free Bareiss elimination; the ring is an
 integral domain, so every Bareiss division is exact.  The unimodular
 inverse stays inside the polynomial ring throughout: it never forms a
-rational-function field.
+rational-function field.  Rational row reduction (``echelon``, and the
+rank built on it) is exact sparse Gauss-Jordan elimination on dict rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotUnimodular
 
@@ -496,42 +496,50 @@ class PolyMatrix:
             raise ValueError(f"matrix orders differ: {self.n} vs {other.n}")
 
 
-def rank_rational(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a rectangular rational matrix.
+def echelon(rows: Iterable[Mapping[int, object]]) -> dict[int, dict[int, object]]:
+    """Reduced row echelon form of sparse rational rows.
 
-    Rows are cleared of denominators, then eliminated fraction-free in
-    integer arithmetic (Bareiss one-step divisions, which are exact).
+    Each row maps a column index to its int or Fraction coefficient.  The
+    result maps each pivot column to its row: the pivot is the row's
+    smallest column, its entry is 1, and no other pivot column occurs in
+    the row.  The number of pivots is the rank.  Every step is exact.
     """
-    work: list[list[int]] = []
-    for row in rows:
-        scale = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        ints = [int(x * scale) if isinstance(x, Fraction) else x * scale for x in row]
-        if any(ints):
-            work.append(ints)
-    if not work:
-        return 0
-    n_rows = len(work)
-    n_cols = len(work[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if work[r][col]), None)
-        if piv is None:
+    pivots: dict[int, dict[int, object]] = {}
+    for given in rows:
+        row = {c: v for c, v in given.items() if v}
+        for col in [c for c in row if c in pivots]:
+            f = row.pop(col)
+            for c, v in pivots[col].items():
+                if c != col:
+                    _axpy(row, c, -f * v)
+        if not row:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivot = work[rank][col]
-        prow = work[rank]
-        for r in range(rank + 1, n_rows):
-            f = work[r][col]
-            wr = work[r]
-            for c in range(col + 1, n_cols):
-                num = pivot * wr[c] - f * prow[c]
-                quot, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
-                wr[c] = quot
-            wr[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        lead = min(row)
+        scale = row[lead]
+        if scale == -1:
+            row = {c: -v for c, v in row.items()}
+        elif scale != 1:
+            inv = 1 / Fraction(scale)
+            row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            f = other.pop(lead, 0)
+            if f:
+                for c, v in row.items():
+                    if c != lead:
+                        _axpy(other, c, -f * v)
+        pivots[lead] = row
+    return pivots
+
+
+def _axpy(row: dict, col: int, value) -> None:
+    # row[col] += value, keeping the row free of zero entries
+    total = row.get(col, 0) + value
+    if total:
+        row[col] = total
+    else:
+        row.pop(col, None)
+
+
+def rank_rational(rows: Sequence[Sequence]) -> int:
+    """Exact rank of a rectangular rational matrix given as dense rows."""
+    return len(echelon({c: x for c, x in enumerate(row)} for row in rows))

@@ -61,6 +61,8 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValidationError("NoVertices", "a quiver needs at least one vertex")
         names = set()
         for v in self.vertices:
             if v in names:
@@ -551,7 +553,8 @@ def parse_json(text: str) -> BoundQuiver:
 
 def load_file(path) -> BoundQuiver:
     """Read a .qv (description language) or .json quiver file."""
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if str(path).endswith(".json"):
         return parse_json(text)
     return parse_quiver(text)

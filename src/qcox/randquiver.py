@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
+from .algebra import iter_paths_by_degree
 from .quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
 
 
@@ -53,19 +55,10 @@ def random_homogeneous_relations(rng: random.Random, quiver: Quiver,
                                  max_terms: int = 3) -> BoundQuiver:
     """Attach random homogeneous relations (equal-length parallel paths)."""
     by_block: dict[tuple[int, int, int], list[Path]] = {}
-    frontier = [Path.trivial(v) for v in range(quiver.n)]
-    out_arrows = [[] for _ in range(quiver.n)]
-    for idx, a in enumerate(quiver.arrows):
-        out_arrows[a.source].append(idx)
-    for d in range(1, max(degrees) + 1):
-        nxt = []
-        for p in frontier:
-            for idx in out_arrows[p.target]:
-                nxt.append(Path(p.arrows + (idx,), p.source, quiver.arrows[idx].target))
-        for p in nxt:
+    for paths in islice(iter_paths_by_degree(quiver), 1, max(degrees) + 1):
+        for p in paths:
             if p.length in degrees:
                 by_block.setdefault((p.source, p.target, p.length), []).append(p)
-        frontier = nxt
     blocks = sorted(by_block)
     relations = []
     if blocks:

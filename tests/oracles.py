@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from qcox.polyring import Polynomial, PolyMatrix
+from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
 
 
 def perm_sign(perm) -> int:
@@ -145,64 +147,176 @@ def frac_inverse(a):
 
 # --- naive graded dimensions ------------------------------------------------
 
-def naive_graded_dims(bq, degree_cap=64):
-    """Full-enumeration reference for the graded dimension table.
+def _all_paths(quiver, length):
+    """Every path of one length as (arrows, source, target), by plain DFS."""
+    paths = [((), v, v) for v in range(quiver.n)]
+    for _ in range(length):
+        nxt = []
+        for arrows, src, tgt in paths:
+            for idx, a in enumerate(quiver.arrows):
+                if a.source == tgt:
+                    nxt.append((arrows + (idx,), src, a.target))
+        paths = nxt
+    return paths
 
-    Enumerates every path of each degree, materializes every ideal element
-    p*r*s as a row over the full degree-d path basis, and row-reduces the
-    whole span at once.  Dimensions drop out per (source, target) pair from
-    the pivot columns.  No blockwise shortcuts, no incremental reuse.
+
+def naive_degree_dims(bq, degree):
+    """Nonzero dims of every (source, target) block of one degree.
+
+    Enumerates every path of the degree, materializes every ideal element
+    p*r*s as a row over that whole path basis, and row-reduces the span at
+    once.  Dimensions drop out per (source, target) pair from the pivot
+    columns.  No blockwise shortcuts, no incremental reuse.
     """
     quiver = bq.quiver
-    n = quiver.n
-
-    def all_paths(length):
-        # plain DFS, one degree at a time
-        paths = [((), v, v) for v in range(n)]
-        for _ in range(length):
-            nxt = []
-            for arrows, src, tgt in paths:
-                for idx, a in enumerate(quiver.arrows):
-                    if a.source == tgt:
-                        nxt.append((arrows + (idx,), src, a.target))
-            paths = nxt
-        return paths
-
-    dims = {(v, v, 0): 1 for v in range(n)}
-    for degree in range(1, degree_cap + 2):
-        basis = all_paths(degree)
-        index = {p[0]: c for c, p in enumerate(basis)}
-        rows = []
-        for rel in bq.relations:
-            rel_len = rel.length
-            if rel_len > degree:
-                continue
-            for head_len in range(degree - rel_len + 1):
-                tail_len = degree - rel_len - head_len
-                for head in all_paths(head_len):
-                    if head[2] != rel.source:
+    basis = _all_paths(quiver, degree)
+    index = {p[0]: c for c, p in enumerate(basis)}
+    rows = []
+    for rel in bq.relations:
+        rel_len = rel.length
+        if rel_len > degree:
+            continue
+        for head_len in range(degree - rel_len + 1):
+            tail_len = degree - rel_len - head_len
+            for head in _all_paths(quiver, head_len):
+                if head[2] != rel.source:
+                    continue
+                for tail in _all_paths(quiver, tail_len):
+                    if tail[1] != rel.target:
                         continue
-                    for tail in all_paths(tail_len):
-                        if tail[1] != rel.target:
-                            continue
-                        row = [0] * len(basis)
-                        for coeff, mid in rel.terms:
-                            row[index[head[0] + mid.arrows + tail[0]]] += coeff
-                        rows.append(row)
-        pivot_cols = set(gauss_pivot_columns(rows))
-        total = 0
-        per_pair = {}
-        for col, (_, src, tgt) in enumerate(basis):
-            if col not in pivot_cols:
-                per_pair[(src, tgt)] = per_pair.get((src, tgt), 0) + 1
+                    row = [0] * len(basis)
+                    for coeff, mid in rel.terms:
+                        row[index[head[0] + mid.arrows + tail[0]]] += coeff
+                    rows.append(row)
+    pivot_cols = set(gauss_pivot_columns(rows))
+    per_pair = {}
+    for col, (_, src, tgt) in enumerate(basis):
+        if col not in pivot_cols:
+            per_pair[(src, tgt)] = per_pair.get((src, tgt), 0) + 1
+    return per_pair
+
+
+def naive_graded_dims(bq, degree_cap=64):
+    """Full-enumeration reference for the graded dimension table: every
+    degree by ``naive_degree_dims``, up to the first one that vanishes."""
+    dims = {(v, v, 0): 1 for v in range(bq.quiver.n)}
+    for degree in range(1, degree_cap + 2):
+        per_pair = naive_degree_dims(bq, degree)
+        if not per_pair:
+            return dims, degree
         for (src, tgt), value in per_pair.items():
             dims[(src, tgt, degree)] = value
-            total += value
-        if total == 0:
-            for key in [k for k, v in dims.items() if v == 0]:
-                del dims[key]
-            return dims, degree
     raise RuntimeError("naive oracle hit its cap")
+
+
+# --- cyclic families with closed-form graded dimensions ----------------------
+
+def _bound_quiver(n, arrow_pairs, relations, name):
+    """Bound quiver on vertices 0..n-1; relations are lists of
+    (coeff, [arrow indices])."""
+    quiver = Quiver(tuple(str(v) for v in range(n)),
+                    tuple(Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(arrow_pairs)))
+    rels = tuple(Relation(tuple((Fraction(c), Path.from_arrows(quiver, m)) for c, m in rel))
+                 for rel in relations)
+    return BoundQuiver(quiver, rels, name=name)
+
+
+def preprojective(n):
+    """Pi(A_n): arrows i -> i+1 (even index) and back (odd index); at each
+    vertex the signed sum of the two-cycles through it vanishes."""
+    pairs = []
+    for i in range(n - 1):
+        pairs += [(i, i + 1), (i + 1, i)]
+    up = [2 * i for i in range(n - 1)]
+    down = [2 * i + 1 for i in range(n - 1)]
+    rels = [[(1, [up[0], down[0]])], [(1, [down[-1], up[-1]])]]
+    rels += [[(1, [down[i - 1], up[i - 1]]), (-1, [up[i], down[i]])] for i in range(1, n - 1)]
+    return _bound_quiver(n, pairs, rels, f"pi{n}")
+
+
+def preprojective_dims(n):
+    """Graded dims of Pi(A_n) from its Hilbert series
+    H(t) = (1 + P t^h)(1 - C t + t^2)^{-1}: C is the adjacency matrix of
+    the A_n graph, P the Nakayama permutation i -> n-1-i and h = n+1.
+    The inverse expands as sum S_d t^d with S_0 = E, S_1 = C and
+    S_d = C S_{d-1} - S_{d-2}.  Returns {(i, j, d): dim} over d <= 2h; the
+    series is a polynomial, so every term past degree h-2 must vanish."""
+    h = n + 1
+    adj = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    series = [ident, adj]
+    while len(series) <= 2 * h:
+        prod = [[sum(adj[i][k] * series[-1][k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        series.append([[prod[i][j] - series[-2][i][j] for j in range(n)] for i in range(n)])
+    dims = {}
+    for d in range(2 * h + 1):
+        for i in range(n):
+            for j in range(n):
+                value = series[d][i][j] + (series[d - h][n - 1 - i][j] if d >= h else 0)
+                if value:
+                    dims[(i, j, d)] = value
+    return dims
+
+
+def exterior(k):
+    """Exterior algebra on k generators: k loops, x_i x_i = 0 and
+    x_i x_j + x_j x_i = 0."""
+    rels = [[(1, [i, i])] for i in range(k)]
+    rels += [[(1, [i, j]), (1, [j, i])] for i in range(k) for j in range(i + 1, k)]
+    return _bound_quiver(1, [(0, 0)] * k, rels, f"ext{k}")
+
+
+def exterior_dims(k):
+    return {(0, 0, d): comb(k, d) for d in range(k + 1)}
+
+
+def truncated(n, arrow_pairs, length):
+    """kQ/J^L: every path of length L is a relation."""
+    bq = _bound_quiver(n, arrow_pairs, [], f"trunc{length}")
+    rels = [[(1, list(p[0]))] for p in _all_paths(bq.quiver, length)]
+    return _bound_quiver(n, arrow_pairs, rels, f"trunc{length}")
+
+
+def truncated_dims(n, arrow_pairs, length):
+    """Paths of each length below L, counted by adjacency matrix powers."""
+    adj = [[0] * n for _ in range(n)]
+    for s, t in arrow_pairs:
+        adj[s][t] += 1
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    dims = {}
+    for d in range(length):
+        for i in range(n):
+            for j in range(n):
+                if power[i][j]:
+                    dims[(i, j, d)] = power[i][j]
+        power = [[sum(power[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return dims
+
+
+def random_cyclic_bound_quiver(rng):
+    """Seeded cyclic bound quiver of finite dimension: 1-3 vertices on a
+    directed cycle (a loop for one vertex) plus up to two random arrows,
+    cut down by every path of some length L, plus random homogeneous
+    relations of degree 2 and 3.  L is kept small enough that the naive
+    oracle stays fast."""
+    n = rng.randint(1, 3)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+    length = rng.randint(2, 4)
+    while length > 2 and sum(truncated_dims(n, pairs, length + 1).values()) > 40:
+        length -= 1
+    bq = truncated(n, pairs, length)
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        paths = _all_paths(bq.quiver, rng.choice((2, 3)))
+        ends = rng.choice(paths)[1:]
+        block = [list(p[0]) for p in paths if p[1:] == ends]
+        chosen = rng.sample(block, rng.randint(1, min(3, len(block))))
+        extra.append([(rng.choice((-2, -1, 1, 2, Fraction(3, 2))), m) for m in chosen])
+    return BoundQuiver(bq.quiver, bq.relations + _bound_quiver(n, pairs, extra, "").relations,
+                       name="cyclic")
 
 
 def classical_cartan_by_path_counts(quiver):

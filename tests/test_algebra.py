@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from qcox.algebra import (cartan_matrix, cartan_det_check, dim_vector,
-                          enumerate_paths, graded_dims)
-from qcox.errors import DegreeCapExceeded
+from qcox.algebra import (DEFAULT_MAX_DIM, cartan_matrix, cartan_det_check,
+                          dim_vector, enumerate_paths, graded_dims)
+from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import classical_cartan_by_path_counts, det_permutation_sum, naive_graded_dims
+from oracles import (classical_cartan_by_path_counts, det_permutation_sum, exterior,
+                     exterior_dims, naive_degree_dims, naive_graded_dims, preprojective,
+                     preprojective_dims, random_cyclic_bound_quiver, truncated,
+                     truncated_dims)
 
 
 def P(*coeffs):
@@ -203,3 +206,80 @@ def test_specialization_at_one_counts_all_paths():
         quiver = random_acyclic_quiver(rng)
         c = cartan_matrix(BoundQuiver(quiver))
         assert c.specialize(1) == classical_cartan_by_path_counts(quiver)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_graded_dims_preprojective_hilbert_series(n):
+    expected = preprojective_dims(n)
+    # the Hilbert series is a polynomial of degree h - 2 = n - 1
+    assert max(d for _, _, d in expected) == n - 1
+    table = graded_dims(preprojective(n))
+    assert dict(table.dims) == expected
+    assert table.max_degree == n
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_graded_dims_exterior_binomials(k):
+    table = graded_dims(exterior(k))
+    assert dict(table.dims) == exterior_dims(k)
+    assert table.max_degree == k + 1
+
+
+@pytest.mark.parametrize("n, pairs, length", [
+    (3, [(0, 1), (1, 2), (2, 0)], 4),
+    (2, [(0, 1), (0, 1), (1, 0)], 5),
+    (1, [(0, 0), (0, 0)], 6),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 5),
+])
+def test_graded_dims_truncated_path_counts(n, pairs, length):
+    table = graded_dims(truncated(n, pairs, length))
+    assert dict(table.dims) == truncated_dims(n, pairs, length)
+    assert table.max_degree == length
+
+
+def test_graded_dims_match_naive_oracle_cyclic():
+    rng = random.Random(47)
+    for _ in range(30):
+        bq = random_cyclic_bound_quiver(rng)
+        table = graded_dims(bq)
+        oracle_dims, oracle_stop = naive_graded_dims(bq)
+        assert dict(table.dims) == oracle_dims
+        assert table.max_degree == oracle_stop
+        # A_d = 0 forces A_{d+1} = 0: the quotient is generated in degree <= 1
+        assert naive_degree_dims(bq, table.max_degree + 1) == {}
+
+
+def test_dimension_budget():
+    from qcox.quiverdsl import Arrow, BoundQuiver, Quiver
+    two_loops = BoundQuiver(Quiver(("1",), (Arrow("x", 0, 0), Arrow("y", 0, 0))))
+    with pytest.raises(DimensionBudgetExceeded) as info:
+        graded_dims(two_loops, max_dim=1000)
+    assert (info.value.degree, info.value.max_dim) == (10, 1000)
+    # the exterior algebra on 3 generators has dims 1, 3, 3, 1
+    assert graded_dims(exterior(3), max_dim=3).max_degree == 4
+    with pytest.raises(DimensionBudgetExceeded):
+        graded_dims(exterior(3), max_dim=2)
+    # k[x, y] from two dependent relations: 4 candidates minus 2 rows would
+    # fit a budget of 2, but the rows have rank 1 and degree 2 has dim 3
+    commutative = parse_quiver("""
+    quiver poly2 {
+      vertices: 1;
+      arrows: x: 1 -> 1; y: 1 -> 1;
+      relations: x*y - y*x; 2*x*y - 2*y*x;
+    }
+    """)
+    with pytest.raises(DimensionBudgetExceeded) as info:
+        graded_dims(commutative, max_dim=2)
+    assert info.value.degree == 2
+
+
+def test_dimension_budget_admits_two_arrow_chains():
+    # the 2-arrow chain A_n has 2**(n-1) words in its largest degree
+    from qcox.quiverdsl import Arrow, BoundQuiver, Quiver
+    n = 12
+    arrows = tuple(Arrow(f"a{i}{c}", i, i + 1) for i in range(n - 1) for c in range(2))
+    chain = BoundQuiver(Quiver(tuple(str(v) for v in range(n)), arrows))
+    assert graded_dims(chain, max_dim=2 ** (n - 1)).max_degree == n
+    with pytest.raises(DimensionBudgetExceeded):
+        graded_dims(chain, max_dim=2 ** (n - 1) - 1)
+    assert DEFAULT_MAX_DIM >= 2 ** 19      # admits the 2-arrow chain A20

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,15 @@ quiver loop2 {
   arrows: u: 1 -> 2; v: 2 -> 1;
 }
 """
+
+TWO_LOOPS_TEXT = """
+quiver free2 {
+  vertices: 1;
+  arrows: x: 1 -> 1; y: 1 -> 1;
+}
+"""
+
+EMPTY_JSON = '{"vertices": [], "arrows": []}'
 
 TWO_VERTEX_CYCLIC_TEXT = """
 quiver tv {
@@ -125,6 +135,35 @@ def test_degree_cap_error_exit_2(qv, capsys):
     assert code == 2
     assert out == ""
     assert "DegreeCapExceeded" in err
+
+
+def test_dimension_budget_exit_2(qv, capsys):
+    path = qv("free2.qv", TWO_LOOPS_TEXT)
+    for command in ("cartan", "dims", "verify"):
+        code, out, err = run_cli(capsys, command, path, "--max-dim=100")
+        assert code == 2
+        assert out == ""
+        assert "DimensionBudgetExceeded" in err and "degree 7" in err
+
+
+def test_empty_vertex_list_exit_2(qv, capsys):
+    code, out, err = run_cli(capsys, "cartan", qv("empty.json", EMPTY_JSON))
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and "NoVertices" in err
+
+
+def test_error_exits_hold_without_asserts(qv):
+    # python -O strips assert statements; every guard must still raise
+    import qcox
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qcox.__file__))}
+    for name, text, kind in (("free2.qv", TWO_LOOPS_TEXT, "DimensionBudgetExceeded"),
+                             ("empty.json", EMPTY_JSON, "ValidationError")):
+        proc = subprocess.run([sys.executable, "-O", "-m", "qcox", "cartan", qv(name, text)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"error: {kind}" in proc.stderr
 
 
 def test_syntax_error_exit_2(qv, capsys):
@@ -238,7 +277,7 @@ def test_verify_exit_1_on_failing_check(qv, capsys, monkeypatch):
     from qcox.coxeter import CheckReport, CheckResult
     import qcox.cli as cli_module
 
-    def fake_verify(bq, samples=10, seed=0, degree_cap=64):
+    def fake_verify(bq, samples=10, seed=0, degree_cap=64, max_dim=None):
         return CheckReport((CheckResult("reflection_involution", "fail", "forced"),))
 
     monkeypatch.setattr(cli_module.coxeter, "verify_identities", fake_verify)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcox.errors import NotUnimodular
-from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix,
+from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, echelon,
                            format_rational, parse_rational, rank_rational)
 
-from oracles import det_permutation_sum, gauss_rank
+from oracles import det_permutation_sum, gauss_pivot_columns, gauss_rank
 
 
 def P(*coeffs):
@@ -297,3 +297,20 @@ def test_rank_matches_gauss_oracle_random():
         m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
              for _ in range(rows)]
         assert rank_rational(m) == gauss_rank(m)
+
+
+def test_echelon_is_reduced_and_spans_the_rows():
+    rng = random.Random(29)
+    for _ in range(60):
+        cols = rng.randint(1, 7)
+        dense = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2, -3]), rng.randint(1, 3))
+                  for _ in range(cols)] for _ in range(rng.randint(1, 7))]
+        reduced = echelon({c: x for c, x in enumerate(row) if x} for row in dense)
+        assert sorted(reduced) == gauss_pivot_columns(dense)
+        for lead, row in reduced.items():
+            assert min(row) == lead and row[lead] == 1
+            assert all(c == lead or c not in reduced for c in row)
+            assert all(row.values())
+        # same row space: adding the reduced rows raises no rank
+        as_dense = [[row.get(c, 0) for c in range(cols)] for row in reduced.values()]
+        assert gauss_rank(dense + as_dense) == len(reduced)

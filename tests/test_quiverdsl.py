@@ -6,7 +6,8 @@ import pytest
 
 from qcox.errors import QuiverSyntaxError, ValidationError
 from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, emit_json,
-                            emit_text, parse_json, parse_quiver, validate)
+                            emit_text, load_file, parse_json, parse_json_obj,
+                            parse_quiver, validate)
 
 EXAMPLE_3CYCLE = """
 # three vertices on a line, arrows both ways between neighbours
@@ -224,6 +225,51 @@ def test_json_schema_errors():
         parse_json("{not json")
     with pytest.raises(ValidationError):
         parse_json(json.dumps({"vertices": ["1"]}))
+
+
+def test_empty_vertex_list_rejected():
+    with pytest.raises(ValidationError) as info:
+        parse_json_obj({"vertices": [], "arrows": []})
+    assert info.value.code == "NoVertices"
+    with pytest.raises(ValidationError):
+        Quiver((), ())
+    # the text grammar needs a vertex name before it reaches the model
+    with pytest.raises(QuiverSyntaxError):
+        parse_quiver("quiver e { vertices: ; arrows: a: 1 -> 1; }")
+
+
+def test_load_file_closes_its_file(tmp_path, monkeypatch):
+    import qcox.quiverdsl as quiverdsl
+    path = tmp_path / "a3.qv"
+    path.write_text(A3_ORIENTED)
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(quiverdsl, "open", tracking_open, raising=False)
+    assert load_file(str(path)) == parse_quiver(A3_ORIENTED)
+    assert len(opened) == 1 and opened[0].closed
+
+
+# sha256 prefixes of emit_text(random_bound_quiver(Random(s))), s = 0..19;
+# verify --random output depends on these instances staying the same
+RANDOM_QUIVER_HASHES = (
+    "b1904214dbe841e9", "d8beff69c4971518", "ca61964e9d8dfb59", "e7bd530c18fa6a58",
+    "bac52b86de98c3ed", "af6c121d54ba5ffd", "63004ef897d64e67", "80e0234828947dfd",
+    "31638d159ad3df01", "9b949238a130b20a", "fccbc5ba7e8a5a50", "ed3ab8eb2696a88e",
+    "cab2ebe510c8d8c1", "07cbbed21925b595", "d61e62f549358a22", "f962e9cf089bc3fe",
+    "c4b2947e31db3577", "2ddb4b3f77928e62", "948536b24571bed6", "bc9f50b3f021adee",
+)
+
+
+def test_random_bound_quivers_are_pinned():
+    import hashlib
+    from qcox.randquiver import random_bound_quiver
+    for seed, expected in enumerate(RANDOM_QUIVER_HASHES):
+        text = emit_text(random_bound_quiver(random.Random(seed)))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, seed
 
 
 def test_round_trip_random_quivers():
