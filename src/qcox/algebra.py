@@ -222,10 +222,13 @@ def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     of the component from i to j, one power of q per degree."""
     table = graded_dims(bq, degree_cap, max_dim)
     n = bq.quiver.n
-    coeffs = [[[0] * (table.max_degree + 1) for _ in range(n)] for _ in range(n)]
+    coeffs = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j, d), value in table.dims.items():
-        coeffs[i][j][d] = value
-    return PolyMatrix([[Polynomial(cs) for cs in row] for row in coeffs])
+        cs = coeffs[i][j]
+        if len(cs) <= d:
+            cs.extend([0] * (d + 1 - len(cs)))
+        cs[d] = value
+    return PolyMatrix._make([[Polynomial._make(cs) for cs in row] for row in coeffs])
 
 
 KINDS = ("simple", "projective", "injective")

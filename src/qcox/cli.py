@@ -4,8 +4,9 @@ Subcommands: cartan, coxeter, dims, forms, reflect, numbering, verify.
 Input files are quiver descriptions (.qv, or any extension other than
 .json) or the equivalent JSON schema (.json).  Output formats: plain,
 json, latex.  Exit codes: 0 success, 1 a verification check failed,
-2 bad input, a model error or a resource limit (the message names the
-error kind).
+2 bad input, a model error, a resource limit or an internal error (the
+message names the error kind; an unexpected exception is reported as
+``InternalError`` with its type).
 """
 
 from __future__ import annotations
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: ValueError: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:    # a bug in qcox; exit 1 must mean a failed check
+        print(f"error: InternalError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

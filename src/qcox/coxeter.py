@@ -14,6 +14,8 @@ Multiplying the reflection matrices along an admissible vertex ordering
 matrix; on relation-free quivers both flavors agree, and on any quiver
 with unimodular Cartan matrix the product equals -C^T C^-1, which is also
 how the Coxeter matrix is defined when no admissible ordering exists.
+A reflection differs from the identity only in its own row, so such a
+product is built one row update per reflection, never as a matrix product.
 
 ``verify_identities`` runs every identity the library promises on a given
 bound quiver and reports pass/fail/skipped per identity, skipping the ones
@@ -29,7 +31,8 @@ from fractions import Fraction
 from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_matrix, dim_vector
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
-from .polyring import ONE, Polynomial, PolyMatrix, poly_vector
+from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, poly_vector,
+                       row_combination)
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
 _HALF_Q = Polynomial([0, Fraction(1, 2)])
@@ -39,23 +42,16 @@ _Q = Polynomial([0, 1])
 # --- admissible numberings ---------------------------------------------------
 
 def admissible_numbering(quiver: Quiver, prefer_largest: bool = False) -> tuple[int, ...]:
-    """Sink-first vertex ordering: each entry is a sink of the subquiver on
-    the not-yet-listed vertices.  Deterministic: the smallest-index sink is
-    taken at every step (largest with ``prefer_largest``).
+    """Sink-first vertex ordering, as ``Quiver.sink_order`` gives it: each
+    entry is a sink of the subquiver on the not-yet-listed vertices, the
+    smallest-index one at every step (largest with ``prefer_largest``).
 
     Raises NotAcyclic when some step has no sink.
     """
-    remaining = set(range(quiver.n))
-    order = []
-    while remaining:
-        has_out = {a.source for a in quiver.arrows
-                   if a.source in remaining and a.target in remaining}
-        sinks = [v for v in sorted(remaining, reverse=prefer_largest) if v not in has_out]
-        if not sinks:
-            raise NotAcyclic("quiver has a directed cycle, no admissible numbering exists")
-        order.append(sinks[0])
-        remaining.discard(sinks[0])
-    return tuple(order)
+    order = quiver.sink_order(prefer_largest)
+    if order is None:
+        raise NotAcyclic("quiver has a directed cycle, no admissible numbering exists")
+    return order
 
 
 # --- graph reflections ---------------------------------------------------------
@@ -69,22 +65,42 @@ class ReflectionMatrix:
     flavor: str
 
 
+def _reflection(row: tuple[Polynomial, ...], i: int, flavor: str) -> ReflectionMatrix:
+    rows = list(PolyMatrix.identity(len(row)).rows)
+    rows[i] = row
+    return ReflectionMatrix(PolyMatrix._make(rows), i, flavor)
+
+
+def _reflection_product(n: int, numbering, row_of) -> PolyMatrix:
+    """Product of the reflections at the vertices of the numbering, first
+    vertex leftmost; row_of(v) is row v of the reflection at v.
+
+    A reflection s differs from E only in row v, so s * M is M with row v
+    replaced by the combination of M's rows that row v of s names.  The
+    product is built from the right end that way, one row update of
+    O(n * nnz) ring operations per reflection.
+    """
+    rows = list(PolyMatrix.identity(n).rows)
+    for v in reversed(numbering):
+        rows[v] = row_combination(row_of(v), rows)
+    return PolyMatrix._make(rows)
+
+
+def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
+    # row i of the graph reflection at i, from counts = quiver.edge_counts(),
+    # whose diagonal counts each loop twice
+    if counts[i][i]:
+        raise LoopAtVertex(quiver.vertices[i])
+    return tuple(MINUS_ONE if j == i else Polynomial._make([0, c]) if c else ZERO
+                 for j, c in enumerate(counts[i]))
+
+
 def graph_reflection(quiver: Quiver, i: int) -> ReflectionMatrix:
     """Reflection at vertex i from edge counts; differs from the identity
     only in row i.  Raises LoopAtVertex if i carries a loop."""
-    n = quiver.n
-    if not 0 <= i < n:
+    if not 0 <= i < quiver.n:
         raise ValueError(f"vertex index {i} out of range")
-    counts = quiver.edge_counts()
-    if any(a.source == i and a.target == i for a in quiver.arrows):
-        raise LoopAtVertex(quiver.vertices[i])
-    rows = [[ONE if r == c else Polynomial() for c in range(n)] for r in range(n)]
-    for j in range(n):
-        if j == i:
-            rows[i][i] = Polynomial([-1])
-        elif counts[i][j]:
-            rows[i][j] = Polynomial([0, counts[i][j]])
-    return ReflectionMatrix(PolyMatrix(rows), i, "graph")
+    return _reflection(_graph_row(quiver, quiver.edge_counts(), i), i, "graph")
 
 
 def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = None) -> PolyMatrix:
@@ -92,11 +108,8 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
     sink leftmost.  Independent of which admissible numbering is chosen."""
     if numbering is None:
         numbering = admissible_numbering(quiver)
-    out = None
-    for v in numbering:
-        s = graph_reflection(quiver, v).matrix
-        out = s if out is None else out * s
-    return out
+    counts = quiver.edge_counts()
+    return _reflection_product(quiver.n, numbering, lambda v: _graph_row(quiver, counts, v))
 
 
 def gram_matrix(quiver: Quiver) -> PolyMatrix:
@@ -174,20 +187,19 @@ def symmetric_form_matrix(cartan: PolyMatrix,
     return inverse + inverse.transpose()
 
 
+def _gamma_row(form_matrix: PolyMatrix, i: int) -> tuple[Polynomial, ...]:
+    return tuple(ONE - a if j == i else -a for j, a in enumerate(form_matrix.rows[i]))
+
+
 def gamma_reflection(cartan: PolyMatrix, i: int,
                      form_matrix: PolyMatrix | None = None) -> ReflectionMatrix:
     """Cartan reflection at vertex i: e_j maps to e_j - A[i][j] e_i, so the
     matrix differs from the identity only in row i."""
     if form_matrix is None:
         form_matrix = symmetric_form_matrix(cartan)
-    n = form_matrix.n
-    if not 0 <= i < n:
+    if not 0 <= i < form_matrix.n:
         raise ValueError(f"vertex index {i} out of range")
-    rows = [[ONE if r == c else Polynomial() for c in range(n)] for r in range(n)]
-    for j in range(n):
-        a_ij = form_matrix.entry(i, j)
-        rows[i][j] = ONE - a_ij if i == j else -a_ij
-    return ReflectionMatrix(PolyMatrix(rows), i, "cartan")
+    return _reflection(_gamma_row(form_matrix, i), i, "cartan")
 
 
 def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
@@ -210,11 +222,7 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     if method == "reflections":
         numbering = admissible_numbering(bq.quiver)
         form = symmetric_form_matrix(cartan)
-        out = None
-        for v in numbering:
-            s = gamma_reflection(cartan, v, form).matrix
-            out = s if out is None else out * s
-        return out
+        return _reflection_product(form.n, numbering, lambda v: _gamma_row(form, v))
     raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
 
 
@@ -290,7 +298,8 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     graph_ok = acyclic and loop_free
     graph_skip = "requires an acyclic quiver" if not acyclic else "requires a loop-free quiver"
     if graph_ok:
-        refl = [graph_reflection(quiver, i).matrix for i in range(n)]
+        refl = [_reflection(_graph_row(quiver, counts, i), i, "graph").matrix
+                for i in range(n)]
         verdict("reflection_involution",
                 all((s * s).is_identity() for s in refl))
         verdict("reflection_commutation",
@@ -345,7 +354,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         sink_c_ok = True
         sink_phi_ok = True
         for i in quiver.sinks():
-            s = graph_reflection(quiver, i).matrix
+            s = refl[i]
             flipped = sigma_reflect(quiver, i)
             flipped_c = cartan_matrix(BoundQuiver(flipped), degree_cap, max_dim)
             flipped_phi = coxeter_matrix_graph(flipped)
@@ -372,7 +381,8 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         return CheckReport(tuple(results))
 
     form = symmetric_form_matrix(cartan, inverse)
-    gammas = [gamma_reflection(cartan, i, form).matrix for i in range(n)]
+    gamma_rows = [_gamma_row(form, i) for i in range(n)]
+    gammas = [_reflection(row, i, "cartan").matrix for i, row in enumerate(gamma_rows)]
 
     involutive = [i for i in range(n) if form.entry(i, i) == 2]
     if involutive:
@@ -394,18 +404,14 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     phi_cartan = -(cartan.transpose() * inverse)
     if acyclic:
         numbering = admissible_numbering(quiver)
-        product = None
-        for v in numbering:
-            product = gammas[v] if product is None else product * gammas[v]
+        product = _reflection_product(n, numbering, gamma_rows.__getitem__)
         verdict("gamma_coxeter_vs_cartan", product == phi_cartan)
         alt = admissible_numbering(quiver, prefer_largest=True)
         if alt == numbering:
             add(CheckResult("gamma_numbering_independence", "skipped",
                             "only one admissible numbering available"))
         else:
-            alt_product = None
-            for v in alt:
-                alt_product = gammas[v] if alt_product is None else alt_product * gammas[v]
+            alt_product = _reflection_product(n, alt, gamma_rows.__getitem__)
             verdict("gamma_numbering_independence", alt_product == product)
     else:
         for name in ("gamma_coxeter_vs_cartan", "gamma_numbering_independence"):

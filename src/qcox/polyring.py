@@ -8,11 +8,17 @@ Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros (the zero polynomial is the empty tuple).  Matrices are
 immutable row tuples of polynomials.
 
-The determinant uses fraction-free Bareiss elimination; the ring is an
-integral domain, so every Bareiss division is exact.  The unimodular
-inverse stays inside the polynomial ring throughout: it never forms a
-rational-function field.  Rational row reduction (``echelon``, and the
-rank built on it) is exact sparse Gauss-Jordan elimination on dict rows.
+Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B) over
+the nonzero a_ik only (``row_combination``), so products with the
+near-identity reflection matrices cost what their nonzero entries cost.
+The unimodular inverse stays inside the polynomial ring throughout: it
+never forms a rational-function field.  It is a Gauss-Jordan elimination
+that divides only by constant pivots, and the determinant is read off
+those pivots.  Only when some column has no constant pivot do the
+fraction-free Bareiss ``det`` (the ring is an integral domain, so every
+Bareiss division is exact) and the cofactor adjugate run.  Rational row
+reduction (``echelon``, and the rank built on it) is exact sparse
+Gauss-Jordan elimination on dict rows.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, _COEFF_TYPES):
+            if not isinstance(c, _COEFF_TYPES) or isinstance(c, bool):
                 raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
@@ -69,7 +75,7 @@ class Polynomial:
     def coerce(cls, value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, _COEFF_TYPES):
+        if isinstance(value, _COEFF_TYPES) and not isinstance(value, bool):
             return cls._make([value])
         raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
@@ -111,6 +117,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0]) if self.coeffs else hash(0)
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -256,24 +265,36 @@ def poly_vector(values: Iterable) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.coerce(v) for v in values)
 
 
-def _dot(row: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:
-    # accumulates the convolution directly; skips zero factors, which makes
-    # products of near-identity matrices cheap
-    acc: list = []
-    for a, b in zip(row, col):
-        ac, bc = a.coeffs, b.coeffs
-        if not ac or not bc:
-            continue
-        need = len(ac) + len(bc) - 1
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for i, ca in enumerate(ac):
-            if not ca:
+def row_combination(coeffs: Sequence[Polynomial],
+                    rows: Sequence[Sequence[Polynomial]]) -> tuple[Polynomial, ...]:
+    """The row sum of coeffs[k] * rows[k] over k.
+
+    Only the rows with a nonzero coefficient are read, and only their
+    nonzero entries are multiplied, so a row of a near-identity matrix costs
+    as much as the rows it names.  A single coefficient 1 returns its row
+    unchanged.
+    """
+    terms = [(k, c.coeffs) for k, c in enumerate(coeffs) if c.coeffs]
+    if len(terms) == 1 and terms[0][1] == (1,):
+        return tuple(rows[terms[0][0]])
+    acc: list = [None] * len(rows[0])
+    for k, ac in terms:
+        for j, entry in enumerate(rows[k]):
+            bc = entry.coeffs
+            if not bc:
                 continue
-            for j, cb in enumerate(bc):
-                if cb:
-                    acc[i + j] += ca * cb
-    return Polynomial._make(acc)
+            need = len(ac) + len(bc) - 1
+            cur = acc[j]
+            if cur is None:
+                cur = acc[j] = [0] * need
+            elif len(cur) < need:
+                cur.extend([0] * (need - len(cur)))
+            for i, ca in enumerate(ac):
+                if ca:
+                    for m, cb in enumerate(bc, i):
+                        if cb:
+                            cur[m] += ca * cb
+    return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
 
 
 class PolyMatrix:
@@ -323,12 +344,12 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_order(other)
-        return PolyMatrix._make([[a + b for a, b in zip(ra, rb)]
+        return PolyMatrix._make([[a + b if b.coeffs else a for a, b in zip(ra, rb)]
                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_order(other)
-        return PolyMatrix._make([[a - b for a, b in zip(ra, rb)]
+        return PolyMatrix._make([[a - b if b.coeffs else a for a, b in zip(ra, rb)]
                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "PolyMatrix":
@@ -338,8 +359,7 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_order(other)
-        cols = list(zip(*other.rows))
-        return PolyMatrix._make([[_dot(row, col) for col in cols] for row in self.rows])
+        return PolyMatrix._make([row_combination(row, other.rows) for row in self.rows])
 
     def scaled(self, factor) -> "PolyMatrix":
         f = Polynomial.coerce(factor)
@@ -349,7 +369,8 @@ class PolyMatrix:
         v = poly_vector(vec)
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != matrix order {self.n}")
-        return tuple(_dot(row, v) for row in self.rows)
+        column = [(e,) for e in v]
+        return tuple(row_combination(row, column)[0] for row in self.rows)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])
@@ -418,28 +439,37 @@ class PolyMatrix:
 
         The result is the adjugate scaled by the determinant, so entries stay
         in the polynomial ring.  A constant-pivot elimination computes it
-        directly whenever possible (always, for Cartan matrices, whose
-        diagonal entries have the constant 1 available as a pivot); the
-        cofactor adjugate covers the rest.
+        directly whenever possible (always, for Cartan matrices of acyclic
+        quivers, which are unitriangular up to a simultaneous permutation of
+        rows and columns), and reads the determinant off its pivots; Bareiss
+        ``det`` and the cofactor adjugate cover the rest.
 
         Raises NotUnimodular when det is not +1 or -1.
         """
+        found = self._inverse_by_constant_pivots()
+        if found is not None:
+            d, inv = found
+            if d != 1 and d != -1:
+                raise NotUnimodular(Polynomial._make([d]))
+            return inv
         d = self.det()
         if d != 1 and d != -1:
             raise NotUnimodular(d)
-        inv = self._inverse_by_constant_pivots()
-        if inv is None:
-            adj = self.adjugate()
-            inv = adj if d == 1 else -adj
-        return inv
+        adj = self.adjugate()
+        return adj if d == 1 else -adj
 
-    def _inverse_by_constant_pivots(self) -> "PolyMatrix | None":
-        # Gauss-Jordan on [M | E], only ever dividing by nonzero constants.
+    def _inverse_by_constant_pivots(self) -> "tuple[object, PolyMatrix] | None":
+        # Gauss-Jordan on [M | E], only ever dividing by nonzero constants;
+        # returns (det, inverse), or None when some column has no constant
+        # pivot.  Scaling a row by 1/c divides det by c and row additions
+        # keep it, so det(M) is the product of the pivots times the sign of
+        # the permutation that takes each column to its pivot row.
         n = self.n
         aug = [list(self.rows[i]) + [(_ONE if j == i else _ZERO) for j in range(n)]
                for i in range(n)]
         free = set(range(n))
         pivot_row_of_col = [0] * n
+        det = 1
         for col in range(n):
             piv = None
             for r in range(n):
@@ -451,18 +481,23 @@ class PolyMatrix:
             free.discard(piv)
             pivot_row_of_col[col] = piv
             c = aug[piv][col].coeffs[0]
+            det *= c
             if c != 1:
                 inv_c = Fraction(1, 1) / c
                 aug[piv] = [inv_c * e for e in aug[piv]]
-            prow = aug[piv]
+            prow = [(j, p) for j, p in enumerate(aug[piv]) if p.coeffs]
             for r in range(n):
                 if r == piv:
                     continue
                 f = aug[r][col]
                 if f.is_zero():
                     continue
-                aug[r] = [e - f * p for e, p in zip(aug[r], prow)]
-        return PolyMatrix._make([aug[pivot_row_of_col[j]][n:] for j in range(n)])
+                row = aug[r]
+                for j, p in prow:
+                    row[j] = row[j] - f * p
+        if _permutation_sign(pivot_row_of_col) < 0:
+            det = -det
+        return det, PolyMatrix._make([aug[pivot_row_of_col[j]][n:] for j in range(n)])
 
     def specialize(self, q0) -> list[list[Fraction]]:
         """Entrywise exact evaluation at q = q0."""
@@ -494,6 +529,20 @@ class PolyMatrix:
     def _check_order(self, other: "PolyMatrix") -> None:
         if self.n != other.n:
             raise ValueError(f"matrix orders differ: {self.n} vs {other.n}")
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    # each cycle of length L is L - 1 transpositions
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if not seen[j]:
+                sign = -sign
+    return sign
 
 
 def echelon(rows: Iterable[Mapping[int, object]]) -> dict[int, dict[int, object]]:

@@ -35,6 +35,7 @@ everywhere downstream; nothing re-sorts it.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
@@ -125,18 +126,32 @@ class Quiver:
             out[a.source] = True
         return [i for i in range(self.n) if not out[i]]
 
+    def sink_order(self, prefer_largest: bool = False) -> tuple[int, ...] | None:
+        """Sink-first vertex ordering: each entry is a sink of the subquiver
+        on the vertices not yet listed, the smallest-index one at every step
+        (largest with ``prefer_largest``).  None when some step finds no
+        sink, that is, when the quiver has a directed cycle; a loop is one.
+        """
+        out_degree = [0] * self.n
+        sources_into: list[list[int]] = [[] for _ in range(self.n)]
+        for a in self.arrows:
+            out_degree[a.source] += 1
+            sources_into[a.target].append(a.source)
+        sign = -1 if prefer_largest else 1
+        sinks = [sign * v for v in range(self.n) if not out_degree[v]]
+        heapq.heapify(sinks)
+        order = []
+        while sinks:
+            v = sign * heapq.heappop(sinks)
+            order.append(v)
+            for u in sources_into[v]:
+                out_degree[u] -= 1
+                if not out_degree[u]:
+                    heapq.heappush(sinks, sign * u)
+        return tuple(order) if len(order) == self.n else None
+
     def is_acyclic(self) -> bool:
-        # Kahn peeling; loops count as cycles
-        remaining = set(range(self.n))
-        arrows = list(self.arrows)
-        while remaining:
-            with_out = {a.source for a in arrows}
-            sinks = [v for v in remaining if v not in with_out]
-            if not sinks:
-                return False
-            remaining.difference_update(sinks)
-            arrows = [a for a in arrows if a.target not in sinks]
-        return True
+        return self.sink_order() is not None
 
     def is_connected(self) -> bool:
         if self.n == 1:

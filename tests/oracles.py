@@ -43,6 +43,38 @@ def det_permutation_sum(m: PolyMatrix) -> Polynomial:
     return total
 
 
+def naive_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Product by the textbook triple loop over every entry, zeros included."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = Polynomial()
+            for k in range(n):
+                total = total + a.entry(i, k) * b.entry(k, j)
+            row.append(total)
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def naive_sink_order(quiver, prefer_largest=False):
+    """Sink-first order by rescanning every arrow at every step; None when
+    some step finds no sink."""
+    remaining = set(range(quiver.n))
+    order = []
+    while remaining:
+        with_out = {a.source for a in quiver.arrows
+                    if a.source in remaining and a.target in remaining}
+        sinks = sorted(v for v in remaining if v not in with_out)
+        if not sinks:
+            return None
+        v = sinks[-1] if prefer_largest else sinks[0]
+        order.append(v)
+        remaining.discard(v)
+    return tuple(order)
+
+
 def gauss_rank(rows) -> int:
     """Rank by textbook Gaussian elimination over Fraction."""
     work = [[Fraction(x) for x in row] for row in rows]

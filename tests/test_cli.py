@@ -286,6 +286,18 @@ def test_verify_exit_1_on_failing_check(qv, capsys, monkeypatch):
     assert "FAIL input: reflection_involution" in out
 
 
+def test_internal_error_exit_2(qv, capsys, monkeypatch):
+    import qcox.cli as cli_module
+
+    def broken(args, bq):
+        raise ArithmeticError("inexact polynomial division")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "cartan", broken)
+    code, out, err = run_cli(capsys, "cartan", qv("a3.qv", A3_TEXT))
+    assert code == 2 and out == ""
+    assert err == "error: InternalError: ArithmeticError: inexact polynomial division\n"
+
+
 def test_output_determinism(qv, capsys):
     path = qv("dc.qv", DOUBLE_CHAIN_TEXT)
     outputs = set()

@@ -9,7 +9,7 @@ from qcox.errors import NotUnimodular
 from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, echelon,
                            format_rational, parse_rational, rank_rational)
 
-from oracles import det_permutation_sum, gauss_pivot_columns, gauss_rank
+from oracles import det_permutation_sum, gauss_pivot_columns, gauss_rank, naive_matmul
 
 
 def P(*coeffs):
@@ -105,6 +105,33 @@ def test_distributivity_and_normalization(p, r, s):
         assert not poly.coeffs or poly.coeffs[-1] != 0
 
 
+def test_bool_coefficients_rejected():
+    for bad in ([True], [1, False], [Fraction(1, 2), True]):
+        with pytest.raises(TypeError):
+            Polynomial(bad)
+    with pytest.raises(TypeError):
+        Polynomial.coerce(True)
+    with pytest.raises(TypeError):
+        M([[True]])
+
+
+def test_hash_agrees_with_equality_on_constants():
+    assert hash(P(3)) == hash(3) and P(3) == 3
+    assert hash(P(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+    assert hash(ZERO) == hash(0) and hash(P(0, 0)) == hash(0)
+    assert {P(3): "three"}[3] == "three"
+    assert {3: "three"}[P(3)] == "three"
+    assert {P(2), 2, Fraction(2)} == {2}
+
+
+@given(poly_st)
+def test_equal_values_hash_equal(p):
+    constant = p.constant_value()
+    if constant is not None:
+        assert p == constant and hash(p) == hash(constant)
+    assert hash(p) == hash(Polynomial(p.coeffs))
+
+
 @given(poly_st, poly_st)
 def test_degree_multiplicative(p, r):
     if p.is_zero() or r.is_zero():
@@ -160,6 +187,35 @@ def test_matrix_mul_associative_random():
         a, b, c = (rand_matrix(rng, n) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * PolyMatrix.identity(n) == a == PolyMatrix.identity(n) * a
+
+
+sparse_poly_st = st.one_of(st.just(ZERO), st.just(ONE), st.just(MINUS_ONE), poly_st)
+
+
+@st.composite
+def sparse_matrices(draw, n):
+    """Matrices with Fraction coefficients, many zero and unit entries, and
+    some rows and columns that are zero throughout."""
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return M([[ZERO if i in zero_rows or j in zero_cols else draw(sparse_poly_st)
+               for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(sparse_matrices(n)), draw(sparse_matrices(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_sparse_product_matches_triple_loop(pair):
+    a, b = pair
+    expected = naive_matmul(a, b)
+    assert a * b == expected
+    for j in range(a.n):
+        assert a.mul_vector(b.column(j)) == expected.column(j)
 
 
 def test_mul_vector_and_scaled():
@@ -218,8 +274,25 @@ def test_inverse_golden_examples():
 def test_inverse_requires_unimodular():
     with pytest.raises(NotUnimodular):
         M([[P(1, 0, 1)]]).inverse_unimodular()
-    with pytest.raises(NotUnimodular):
+    with pytest.raises(NotUnimodular) as raised:
         M([[2, 0], [0, 1]]).inverse_unimodular()
+    assert raised.value.det == 2
+
+
+def test_determinant_sign_from_pivot_rows():
+    swap = M([[0, 1], [1, 0]])
+    shifted_swap = M([[Q, 1], [1, 0]])
+    three_cycle = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for a, det in ((swap, -1), (shifted_swap, -1), (three_cycle, 1)):
+        found_det, inv = a._inverse_by_constant_pivots()
+        assert found_det == det == a.det() == det_permutation_sum(a)
+        assert a.inverse_unimodular() == inv
+        assert (a * inv).is_identity() and (inv * a).is_identity()
+        # doubling the first row doubles the determinant, sign included
+        doubled = M([[2 * e for e in a.rows[0]]] + [list(r) for r in a.rows[1:]])
+        with pytest.raises(NotUnimodular) as raised:
+            doubled.inverse_unimodular()
+        assert raised.value.det == 2 * det
 
 
 def test_inverse_fallback_without_constant_pivots():

@@ -9,6 +9,8 @@ from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, emit_json,
                             emit_text, load_file, parse_json, parse_json_obj,
                             parse_quiver, validate)
 
+from oracles import naive_sink_order, random_cyclic_bound_quiver
+
 EXAMPLE_3CYCLE = """
 # three vertices on a line, arrows both ways between neighbours
 quiver commutative3 {
@@ -166,6 +168,30 @@ def test_validate_flags():
     loop = parse_quiver("quiver l { vertices: 1; arrows: a: 1 -> 1; }")
     rep = validate(loop)
     assert rep.passed and not rep.acyclic and rep.loop_arrows == ("a",)
+
+
+def test_sink_order():
+    a3 = parse_quiver(A3_ORIENTED).quiver
+    assert a3.sink_order() == (0, 2, 1)
+    assert a3.sink_order(prefer_largest=True) == (2, 0, 1)
+    assert parse_quiver(EXAMPLE_3CYCLE).quiver.sink_order() is None
+    loop = Quiver(("1", "2"), (Arrow("a", 1, 0), Arrow("l", 1, 1)))
+    assert loop.sink_order() is None and not loop.is_acyclic()
+
+
+def test_sink_order_matches_rescanning_oracle():
+    from qcox.randquiver import random_acyclic_quiver
+    rng = random.Random(37)
+    quivers = [random_acyclic_quiver(rng) for _ in range(40)]
+    quivers += [random_cyclic_bound_quiver(rng).quiver for _ in range(40)]
+    # an arrow back along an existing one closes a 2-cycle
+    for q in quivers[:20]:
+        a = q.arrows[0]
+        quivers.append(Quiver(q.vertices, q.arrows + (Arrow("back", a.target, a.source),)))
+    for q in quivers:
+        for largest in (False, True):
+            assert q.sink_order(largest) == naive_sink_order(q, largest)
+        assert q.is_acyclic() == (naive_sink_order(q) is not None)
 
 
 def test_duplicate_names_rejected():
