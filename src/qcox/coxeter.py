@@ -19,7 +19,9 @@ product is built one row update per reflection, never as a matrix product.
 
 ``verify_identities`` runs every identity the library promises on a given
 bound quiver and reports pass/fail/skipped per identity, skipping the ones
-whose hypotheses the input does not meet.
+whose hypotheses the input does not meet.  Identities between reflections
+are built on the shared rows of the identity matrix, so only the rows the
+reflections change are computed and compared.
 """
 
 from __future__ import annotations
@@ -71,19 +73,21 @@ def _reflection(row: tuple[Polynomial, ...], i: int, flavor: str) -> ReflectionM
     return ReflectionMatrix(PolyMatrix._make(rows), i, flavor)
 
 
-def _reflection_product(n: int, numbering, row_of) -> PolyMatrix:
-    """Product of the reflections at the vertices of the numbering, first
-    vertex leftmost; row_of(v) is row v of the reflection at v.
+def _reflection_product(numbering, row_of, rows) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the product of the reflections at the vertices of the
+    numbering, first vertex leftmost, times the matrix with the given rows;
+    row_of(v) is row v of the reflection at v.
 
     A reflection s differs from E only in row v, so s * M is M with row v
     replaced by the combination of M's rows that row v of s names.  The
     product is built from the right end that way, one row update of
-    O(n * nnz) ring operations per reflection.
+    O(n * nnz) ring operations per reflection.  Rows at vertices outside
+    the numbering are the given row objects themselves.
     """
-    rows = list(PolyMatrix.identity(n).rows)
+    rows = list(rows)
     for v in reversed(numbering):
         rows[v] = row_combination(row_of(v), rows)
-    return PolyMatrix._make(rows)
+    return tuple(rows)
 
 
 def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
@@ -109,7 +113,8 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
     if numbering is None:
         numbering = admissible_numbering(quiver)
     counts = quiver.edge_counts()
-    return _reflection_product(quiver.n, numbering, lambda v: _graph_row(quiver, counts, v))
+    return PolyMatrix._make(_reflection_product(
+        numbering, lambda v: _graph_row(quiver, counts, v), PolyMatrix.identity(quiver.n).rows))
 
 
 def gram_matrix(quiver: Quiver) -> PolyMatrix:
@@ -222,7 +227,8 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     if method == "reflections":
         numbering = admissible_numbering(bq.quiver)
         form = symmetric_form_matrix(cartan)
-        return _reflection_product(form.n, numbering, lambda v: _gamma_row(form, v))
+        return PolyMatrix._make(_reflection_product(
+            numbering, lambda v: _gamma_row(form, v), PolyMatrix.identity(form.n).rows))
     raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
 
 
@@ -275,6 +281,61 @@ class CheckReport:
                 for c in self.checks]
 
 
+# Each identity between reflections is checked on rows of E: ``eye`` is
+# PolyMatrix.identity(n).rows and refl_rows[v] is row v of the reflection
+# s_v at v.  A word in reflections at the vertices V equals E outside the
+# rows in V, and those rows are the same objects of eye on both sides of an
+# identity, so comparing the whole matrices costs what the changed rows cost.
+
+def _word(eye, refl_rows, *vertices) -> tuple[tuple[Polynomial, ...], ...]:
+    # the rightmost reflection times E is that reflection: E with one row replaced
+    *rest, last = vertices
+    rows = list(eye)
+    rows[last] = refl_rows[last]
+    return _reflection_product(rest, refl_rows.__getitem__, rows)
+
+
+def _involution_holds(eye, refl_rows, i: int) -> bool:
+    """s_i s_i == E."""
+    return _word(eye, refl_rows, i, i) == eye
+
+
+def _commutation_holds(eye, refl_rows, i: int, j: int) -> bool:
+    """s_i s_j == s_j s_i."""
+    return _word(eye, refl_rows, i, j) == _word(eye, refl_rows, j, i)
+
+
+def _braid_holds(eye, refl_rows, i: int, j: int, factor: Polynomial) -> bool:
+    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j)."""
+    zero = (ZERO,) * len(eye)
+
+    def minus(a, b):
+        # a row that a and b share is the zero row of the difference
+        return tuple(zero if x is y else tuple(p - r if r.coeffs else p for p, r in zip(x, y))
+                     for x, y in zip(a, b))
+
+    left = minus(_word(eye, refl_rows, i, j, i), _word(eye, refl_rows, j, i, j))
+    right = tuple(row if row is zero else tuple(factor * e for e in row)
+                  for row in minus(_word(eye, refl_rows, i), _word(eye, refl_rows, j)))
+    return left == right
+
+
+def _form_invariant(eye, gram_rows, v: int, row) -> bool:
+    """s^T G s == G for the reflection s at v whose row v is row.
+
+    With s = E + e_v u^T, G s differs from G only in the rows m with
+    G[m][v] != 0, and s^T M from M only in the rows k with u_k != 0; the
+    other rows are G's own row objects on both sides.
+    """
+    s = list(eye)
+    s[v] = row
+    gs = [row_combination(g, s) if g[v] else g for g in gram_rows]
+    # row k of s^T is column k of s
+    sgs = tuple(row_combination([r[k] for r in s], gs) if row[k] != eye[v][k] else gs[k]
+                for k in range(len(row)))
+    return sgs == gram_rows
+
+
 def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                       degree_cap: int = DEFAULT_DEGREE_CAP,
                       max_dim: int = DEFAULT_MAX_DIM) -> CheckReport:
@@ -289,7 +350,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     loop_free = not quiver.loops()
     relation_free = not bq.relations
     counts = quiver.edge_counts()
-    identity_m = PolyMatrix.identity(n)
+    eye = PolyMatrix.identity(n).rows
 
     def verdict(name: str, ok: bool, why_fail: str = "") -> None:
         add(CheckResult(name, "pass" if ok else "fail", "" if ok else why_fail))
@@ -298,34 +359,29 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     graph_ok = acyclic and loop_free
     graph_skip = "requires an acyclic quiver" if not acyclic else "requires a loop-free quiver"
     if graph_ok:
-        refl = [_reflection(_graph_row(quiver, counts, i), i, "graph").matrix
-                for i in range(n)]
+        graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
         verdict("reflection_involution",
-                all((s * s).is_identity() for s in refl))
+                all(_involution_holds(eye, graph_rows, i) for i in range(n)))
         verdict("reflection_commutation",
-                all(refl[i] * refl[j] == refl[j] * refl[i]
+                all(_commutation_holds(eye, graph_rows, i, j)
                     for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0))
-        braid_ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if counts[i][j] == 0:
-                    continue
-                m_q = Polynomial([0, 0, counts[i][j] * counts[j][i]])
-                left = refl[i] * refl[j] * refl[i] - refl[j] * refl[i] * refl[j]
-                right = (refl[i] - refl[j]).scaled(m_q - ONE)
-                braid_ok = braid_ok and left == right
-        verdict("reflection_braid", braid_ok)
-        gram = gram_matrix(quiver)
+        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2
+        verdict("reflection_braid",
+                all(_braid_holds(eye, graph_rows, i, j,
+                                 Polynomial([-1, 0, counts[i][j] * counts[j][i]]))
+                    for i in range(n) for j in range(i + 1, n) if counts[i][j]))
+        gram = gram_matrix(quiver).rows
         verdict("form_invariance",
-                all(s.transpose() * gram * s == gram for s in refl))
+                all(_form_invariant(eye, gram, i, graph_rows[i]) for i in range(n)))
         first = admissible_numbering(quiver)
         second = admissible_numbering(quiver, prefer_largest=True)
+        phi_graph = _word(eye, graph_rows, *first)
         if first == second:
             add(CheckResult("coxeter_numbering_independence", "skipped",
                             "only one admissible numbering available"))
         else:
             verdict("coxeter_numbering_independence",
-                    coxeter_matrix_graph(quiver, first) == coxeter_matrix_graph(quiver, second))
+                    _word(eye, graph_rows, *second) == phi_graph)
     else:
         for name in ("reflection_involution", "reflection_commutation",
                      "reflection_braid", "form_invariance",
@@ -339,22 +395,23 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     except DegreeCapExceeded as exc:
         cartan = None
         cartan_reason = f"graded dimensions did not terminate ({exc})"
-    inverse = None
+    inverse = phi_cartan = None
     if cartan is not None:
         try:
             inverse = cartan.inverse_unimodular()
         except NotUnimodular as exc:
             cartan_reason = f"Cartan matrix is not unimodular ({exc})"
+        else:
+            phi_cartan = -(cartan.transpose() * inverse)
 
     # relation-free theorems compare graph products against the Cartan matrix
     if graph_ok and relation_free and inverse is not None:
-        phi = coxeter_matrix_graph(quiver)
-        verdict("coxeter_vs_cartan",
-                phi == -(cartan.transpose() * inverse))
+        verdict("coxeter_vs_cartan", phi_graph == phi_cartan.rows)
+        phi = PolyMatrix._make(phi_graph)
         sink_c_ok = True
         sink_phi_ok = True
         for i in quiver.sinks():
-            s = refl[i]
+            s = _reflection(graph_rows[i], i, "graph").matrix
             flipped = sigma_reflect(quiver, i)
             flipped_c = cartan_matrix(BoundQuiver(flipped), degree_cap, max_dim)
             flipped_phi = coxeter_matrix_graph(flipped)
@@ -382,12 +439,11 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
 
     form = symmetric_form_matrix(cartan, inverse)
     gamma_rows = [_gamma_row(form, i) for i in range(n)]
-    gammas = [_reflection(row, i, "cartan").matrix for i, row in enumerate(gamma_rows)]
 
     involutive = [i for i in range(n) if form.entry(i, i) == 2]
     if involutive:
         verdict("gamma_involution",
-                all((gammas[i] * gammas[i]).is_identity() for i in involutive))
+                all(_involution_holds(eye, gamma_rows, i) for i in involutive))
     else:
         add(CheckResult("gamma_involution", "skipped",
                         "no vertex with diagonal form entry 2"))
@@ -395,23 +451,21 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                        if form.entry(i, j).is_zero()]
     if commuting_pairs:
         verdict("gamma_commutation",
-                all(gammas[i] * gammas[j] == gammas[j] * gammas[i]
-                    for i, j in commuting_pairs))
+                all(_commutation_holds(eye, gamma_rows, i, j) for i, j in commuting_pairs))
     else:
         add(CheckResult("gamma_commutation", "skipped",
                         "no vertex pair with vanishing form entry"))
 
-    phi_cartan = -(cartan.transpose() * inverse)
     if acyclic:
         numbering = admissible_numbering(quiver)
-        product = _reflection_product(n, numbering, gamma_rows.__getitem__)
-        verdict("gamma_coxeter_vs_cartan", product == phi_cartan)
+        product = _word(eye, gamma_rows, *numbering)
+        verdict("gamma_coxeter_vs_cartan", product == phi_cartan.rows)
         alt = admissible_numbering(quiver, prefer_largest=True)
         if alt == numbering:
             add(CheckResult("gamma_numbering_independence", "skipped",
                             "only one admissible numbering available"))
         else:
-            alt_product = _reflection_product(n, alt, gamma_rows.__getitem__)
+            alt_product = _word(eye, gamma_rows, *alt)
             verdict("gamma_numbering_independence", alt_product == product)
     else:
         for name in ("gamma_coxeter_vs_cartan", "gamma_numbering_independence"):
@@ -432,10 +486,10 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     for _ in range(samples):
         x = [rng.randint(-5, 5) for _ in range(n)]
         y = [rng.randint(-5, 5) for _ in range(n)]
+        phi_y = phi_cartan.mul_vector(y)
         direct = euler_form(cartan, x, y, inverse)
-        swapped = euler_form(cartan, phi_cartan.mul_vector(y), x, inverse)
-        rotated = euler_form(cartan, phi_cartan.mul_vector(x),
-                             phi_cartan.mul_vector(y), inverse)
+        swapped = euler_form(cartan, phi_y, x, inverse)
+        rotated = euler_form(cartan, phi_cartan.mul_vector(x), phi_y, inverse)
         euler_ok = euler_ok and direct == -swapped and direct == rotated
     verdict("euler_form_coxeter", euler_ok)
 

@@ -10,7 +10,8 @@ immutable row tuples of polynomials.
 
 Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B) over
 the nonzero a_ik only (``row_combination``), so products with the
-near-identity reflection matrices cost what their nonzero entries cost.
+near-identity reflection matrices cost what their nonzero entries cost;
+a matrix-vector product is one such combination of the columns.
 The unimodular inverse stays inside the polynomial ring throughout: it
 never forms a rational-function field.  It is a Gauss-Jordan elimination
 that divides only by constant pivots, and the determinant is read off
@@ -215,7 +216,7 @@ class Polynomial:
 
     def to_coeff_strings(self) -> list[str]:
         """Serialize as ascending coefficient strings, e.g. 1+2q^2 -> ["1","0","2"]."""
-        return [format_rational(Fraction(c)) for c in self.coeffs]
+        return [str(c) if isinstance(c, int) else format_rational(c) for c in self.coeffs]
 
     @classmethod
     def from_coeff_strings(cls, items: Sequence[str]) -> "Polynomial":
@@ -230,7 +231,7 @@ class Polynomial:
                 continue
             neg = c < 0
             mag = -c if neg else c
-            mag_s = format_rational(Fraction(mag))
+            mag_s = str(mag) if isinstance(mag, int) else format_rational(mag)
             if deg == 0:
                 body = mag_s
             else:
@@ -369,8 +370,8 @@ class PolyMatrix:
         v = poly_vector(vec)
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != matrix order {self.n}")
-        column = [(e,) for e in v]
-        return tuple(row_combination(row, column)[0] for row in self.rows)
+        # M v is the combination of M's columns that v names
+        return row_combination(v, tuple(zip(*self.rows)))
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])

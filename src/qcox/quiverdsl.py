@@ -555,6 +555,8 @@ def parse_json_obj(obj: dict) -> BoundQuiver:
                            for t in rel] for rel in obj.get("relations", [])]
     except (KeyError, TypeError) as exc:
         raise ValidationError("BadSchema", f"malformed quiver JSON: {exc}") from exc
+    if any(not path for rel in relation_decls for _, path in rel):
+        raise ValidationError("BadSchema", "malformed quiver JSON: a relation term has an empty path")
     return _build(str(obj.get("name", "Q")), vertices, arrow_decls, relation_decls)
 
 

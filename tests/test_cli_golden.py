@@ -1,9 +1,11 @@
 """Byte-identical CLI output, pinned by hash.
 
 Each call's stdout is pinned by the first 16 hex digits of its sha256; exit
-code 0 and an empty stderr are asserted too.  The digests were recorded
-with the dense column-by-column product and the Bareiss-first inverse, so
-any faster matrix kernel must print exactly the same bytes.
+code 0 and an empty stderr are asserted too.  The plain coxeter, forms
+and verify digests were recorded with the dense column-by-column product
+and the Bareiss-first inverse; the JSON coxeter and cartan digests were
+recorded before coefficient strings stopped going through ``Fraction``.
+Any faster matrix kernel or renderer must print exactly the same bytes.
 """
 
 import hashlib
@@ -50,6 +52,9 @@ def golden_calls(directory) -> list[tuple[str, list[str]]]:
         for method in ("cartan", "reflections"):
             calls.append((f"coxeter-{method}-{name}",
                           ["coxeter", str(path), f"--method={method}"]))
+            calls.append((f"coxeter-json-{method}-{name}",
+                          ["coxeter", str(path), f"--method={method}", "--format=json"]))
+        calls.append((f"cartan-json-{name}", ["cartan", str(path), "--format=json"]))
         for form in ("euler", "symmetric"):
             calls.append((f"forms-{form}-{name}",
                           ["forms", str(path), f"--{form}", f"--x={x}", f"--y={y}"]))
@@ -68,6 +73,42 @@ def stdout_digest(capsys, argv) -> tuple[int, str, str]:
 
 
 GOLDEN = {
+    "cartan-json-A30": "957a015dc32cafb3",
+    "cartan-json-A8x2": "5d6165621936febf",
+    "cartan-json-random0": "af6e3f64f6842ee3",
+    "cartan-json-random1": "610d678fc4a2c1b5",
+    "cartan-json-random2": "ce0a041ab19dde33",
+    "cartan-json-random3": "f4fe2b8fc45683d6",
+    "cartan-json-random4": "8e3c1182f52ec1ac",
+    "cartan-json-random5": "65d10d8384d94cbf",
+    "cartan-json-random6": "eb72c94541a0394e",
+    "cartan-json-random7": "2fcc0d1e098f3fa4",
+    "cartan-json-random8": "fadfad68040100b6",
+    "cartan-json-random9": "e85faef6013fbf8c",
+    "coxeter-json-cartan-A30": "237dec3e263db54a",
+    "coxeter-json-cartan-A8x2": "8bd557eea711f76a",
+    "coxeter-json-cartan-random0": "dba915af1f72c5d3",
+    "coxeter-json-cartan-random1": "2290159dd9c4aaeb",
+    "coxeter-json-cartan-random2": "1656b915b8d6d039",
+    "coxeter-json-cartan-random3": "274d65cb3e9f7beb",
+    "coxeter-json-cartan-random4": "efbc3133c9db41e5",
+    "coxeter-json-cartan-random5": "422a09ae477e41d8",
+    "coxeter-json-cartan-random6": "47ba2c7e0e865456",
+    "coxeter-json-cartan-random7": "c274d0ac3149238c",
+    "coxeter-json-cartan-random8": "eafa92a4e513bdff",
+    "coxeter-json-cartan-random9": "42c381cca90b1b93",
+    "coxeter-json-reflections-A30": "237dec3e263db54a",
+    "coxeter-json-reflections-A8x2": "8bd557eea711f76a",
+    "coxeter-json-reflections-random0": "dba915af1f72c5d3",
+    "coxeter-json-reflections-random1": "2290159dd9c4aaeb",
+    "coxeter-json-reflections-random2": "1656b915b8d6d039",
+    "coxeter-json-reflections-random3": "274d65cb3e9f7beb",
+    "coxeter-json-reflections-random4": "efbc3133c9db41e5",
+    "coxeter-json-reflections-random5": "422a09ae477e41d8",
+    "coxeter-json-reflections-random6": "47ba2c7e0e865456",
+    "coxeter-json-reflections-random7": "c274d0ac3149238c",
+    "coxeter-json-reflections-random8": "eafa92a4e513bdff",
+    "coxeter-json-reflections-random9": "42c381cca90b1b93",
     "coxeter-cartan-A30": "ab08ea4dddfde3b8",
     "coxeter-cartan-A8x2": "539f6e6904ff31fa",
     "coxeter-cartan-random0": "12cbb2726fadbf9c",

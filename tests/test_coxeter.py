@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcox.algebra import cartan_matrix
-from qcox.coxeter import (CheckReport, admissible_numbering,
+from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds,
+                          _form_invariant, _involution_holds, admissible_numbering,
                           bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
@@ -15,7 +18,7 @@ from qcox.polyring import ONE, Polynomial, PolyMatrix
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import frac_inverse, frac_mul, frac_neg, frac_transpose
+from oracles import frac_inverse, frac_mul, frac_neg, frac_transpose, naive_matmul
 
 
 def P(*coeffs):
@@ -499,3 +502,74 @@ def test_gamma_lemma_conditions_random():
             for j in range(i + 1, c.n):
                 if form.entry(i, j).is_zero():
                     assert gammas[i] * gammas[j] == gammas[j] * gammas[i]
+
+
+# --- row-local identity checks against the full matrices -----------------------------
+
+_coeff = st.one_of(st.integers(-2, 2), st.just(Fraction(1, 2)))
+_poly = st.lists(_coeff, max_size=3).map(Polynomial)
+
+
+@st.composite
+def reflection_rows(draw):
+    """(n, edge counts, rows): rows[v] is row v of the graph reflection at v
+    for a random loop-free multigraph, some of them perturbed or replaced by
+    an arbitrary row, so that the identities both hold and fail."""
+    n = draw(st.integers(2, 5))
+    counts = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            counts[i][j] = counts[j][i] = draw(st.integers(0, 2))
+    rows = [[P(-1) if k == v else P(0, c) for k, c in enumerate(counts[v])]
+            for v in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        v, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[v][k] = rows[v][k] + draw(_poly)
+    if draw(st.booleans()):
+        v = draw(st.integers(0, n - 1))
+        rows[v] = draw(st.lists(_poly, min_size=n, max_size=n))
+    return n, counts, [tuple(row) for row in rows]
+
+
+def _full(n, rows, v):
+    full = list(PolyMatrix.identity(n).rows)
+    full[v] = rows[v]
+    return PolyMatrix(full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reflection_rows(), st.data())
+def test_row_local_checks_match_full_matrix_identities(case, data):
+    n, counts, rows = case
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    eye = PolyMatrix.identity(n).rows
+    si, sj = _full(n, rows, i), _full(n, rows, j)
+    assert _involution_holds(eye, rows, i) == naive_matmul(si, si).is_identity()
+    assert _commutation_holds(eye, rows, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
+    factor = P(-1, 0, counts[i][j] * counts[j][i])
+    left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
+    assert _braid_holds(eye, rows, i, j, factor) == (left == (si - sj).scaled(factor))
+    gram = PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2)) for b in range(n)]
+                       for a in range(n)])
+    assert _form_invariant(eye, gram.rows, i, rows[i]) == \
+        (naive_matmul(naive_matmul(si.transpose(), gram), si) == gram)
+
+
+@pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),
+                                                 ("_gamma_row", "gamma_involution")])
+def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_maker,
+                                                               identity):
+    import qcox.coxeter as coxeter_module
+    original = getattr(coxeter_module, row_maker)
+
+    def corrupted(*args):
+        row = list(original(*args))
+        if args[-1] == 1:
+            row[1] = row[1] + P(0, 1)
+        return tuple(row)
+
+    monkeypatch.setattr(coxeter_module, row_maker, corrupted)
+    report = verify_identities(BoundQuiver(A3))
+    assert not report.passed
+    assert idx(report)[identity] == ("fail", "")

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcox.errors import QuiverSyntaxError, ValidationError
+from qcox.errors import QcoxError, QuiverSyntaxError, ValidationError
 from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, emit_json,
                             emit_text, load_file, parse_json, parse_json_obj,
                             parse_quiver, validate)
@@ -251,6 +253,10 @@ def test_json_schema_errors():
         parse_json("{not json")
     with pytest.raises(ValidationError):
         parse_json(json.dumps({"vertices": ["1"]}))
+    with pytest.raises(ValidationError) as info:
+        parse_json_obj({"vertices": ["1", "2"], "arrows": [{"name": "a", "source": "1", "target": "2"}],
+                        "relations": [[{"coeff": "1", "path": []}]]})
+    assert info.value.code == "BadSchema"
 
 
 def test_empty_vertex_list_rejected():
@@ -316,3 +322,85 @@ def test_relations_keyword_with_no_declarations():
     }
     """)
     assert bq.relations == ()
+
+
+# --- fuzz: malformed input fails with a typed error -------------------------------
+
+_TOKENS = ("quiver", "Q", "{", "}", "vertices", "arrows", "relations", ":", ";", ",",
+           "->", "*", "+", "-", "1", "2", "0", "1/2", "1/0", "a", "b", "x", "y", "#", "\n")
+
+_EXAMPLE_TOKENS = [t for line in EXAMPLE_3CYCLE.splitlines() if not line.startswith("#")
+                   for t in line.split()]
+
+
+def _mutate(tokens, edits):
+    # each edit cuts out, repeats, inserts or replaces one token
+    tokens = list(tokens)
+    for at, how, token in edits:
+        at %= len(tokens) or 1
+        if how == 0:
+            del tokens[at:at + 1]
+        elif how == 1:
+            tokens[at:at] = tokens[at:at + 1]
+        else:
+            tokens[at:at + (how == 3)] = [token]
+    return " ".join(tokens)
+
+
+_fuzz_text = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join),
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map(
+        lambda ts: "quiver Q { vertices: 1, 2; arrows: a: 1 -> 2; " + " ".join(ts)),
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3), st.sampled_from(_TOKENS)),
+             min_size=1, max_size=3).map(lambda edits: _mutate(_EXAMPLE_TOKENS, edits)),
+)
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                       st.sampled_from(["1", "2", "a", "b", "1/2", "1/0", "x", ""]))
+_json_value = st.recursive(_json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["name", "source", "target", "coeff", "path"]),
+                    inner, max_size=4)), max_leaves=12)
+
+
+@st.composite
+def _schema_objects(draw):
+    """Quiver JSON of the schema's shape, on names that mostly resolve, with
+    up to two top-level entries dropped or replaced by arbitrary values."""
+    vertices = draw(st.lists(st.sampled_from(["1", "2", "3"]), min_size=1, unique=True))
+    vertex = st.sampled_from(vertices)
+    arrows = draw(st.lists(st.fixed_dictionaries(
+        {"name": st.sampled_from(["a", "b", "c"]), "source": vertex, "target": vertex}),
+        max_size=4, unique_by=lambda a: a["name"]))
+    term = st.fixed_dictionaries(
+        {"coeff": st.sampled_from(["1", "-1", "2", "0", "1/0", "q"]),
+         "path": st.lists(st.sampled_from([a["name"] for a in arrows] + ["z"]), max_size=3)})
+    obj = {"vertices": vertices, "arrows": arrows,
+           "relations": draw(st.lists(st.lists(term, max_size=3), max_size=3))}
+    for key in draw(st.lists(st.sampled_from(["vertices", "arrows", "relations", "name"]),
+                             max_size=2, unique=True)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_json_value)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_text)
+def test_parse_quiver_fuzz_raises_only_typed_errors(text):
+    try:
+        parse_quiver(text)
+    except (QcoxError, ValueError):
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_json_value, _schema_objects()))
+def test_parse_json_obj_fuzz_raises_only_typed_errors(obj):
+    try:
+        parse_json_obj(obj)
+    except (QcoxError, ValueError):
+        pass
