@@ -12,7 +12,6 @@ message names the error kind; an unexpected exception is reported as
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
@@ -20,7 +19,7 @@ from fractions import Fraction
 from . import algebra, coxeter
 from .errors import QcoxError, ValidationError
 from .polyring import Polynomial, PolyMatrix, format_rational, parse_rational
-from .quiverdsl import BoundQuiver, emit_json_obj, emit_text, load_file
+from .quiverdsl import BoundQuiver, emit_json_obj, emit_text, json_text, load_file
 from .randquiver import random_bound_quiver
 
 
@@ -108,7 +107,7 @@ def render_poly(p: Polynomial, fmt: str, at_q: Fraction | None) -> str:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json_text(obj)
 
 
 def _parse_vector(text: str, n: int) -> list[Fraction]:

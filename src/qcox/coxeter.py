@@ -21,7 +21,9 @@ product is built one row update per reflection, never as a matrix product.
 bound quiver and reports pass/fail/skipped per identity, skipping the ones
 whose hypotheses the input does not meet.  Identities between reflections
 are built on the shared rows of the identity matrix, so only the rows the
-reflections change are computed and compared.
+reflections change are computed and compared.  Form invariance is checked
+on the integer form 2G, and the Euler-form and duality checks take the
+columns of Phi once per call.
 """
 
 from __future__ import annotations
@@ -222,8 +224,7 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     if cartan is None:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
-        inverse = cartan.inverse_unimodular()
-        return -(cartan.transpose() * inverse)
+        return cartan.transpose() * -cartan.inverse_unimodular()
     if method == "reflections":
         numbering = admissible_numbering(bq.quiver)
         form = symmetric_form_matrix(cartan)
@@ -240,11 +241,14 @@ def euler_form(cartan: PolyMatrix, x, y,
     xv, yv = poly_vector(x), poly_vector(y)
     if len(xv) != inverse.n or len(yv) != inverse.n:
         raise ValueError(f"vectors must have length {inverse.n}")
-    mid = inverse.mul_vector(yv)
-    total = Polynomial()
-    for a, b in zip(xv, mid):
-        total = total + a * b
-    return total
+    return _bilinear(xv, inverse.rows, yv)
+
+
+def _bilinear(x, rows, y) -> Polynomial:
+    # x^T M y for the matrix M with the given rows: x^T M is one combination
+    # of M's rows, and its dot product with y is another
+    xm = row_combination(x, rows)
+    return row_combination(y, [(e,) for e in xm])[0]
 
 
 def symmetric_euler_form(cartan: PolyMatrix, x, y,
@@ -320,6 +324,14 @@ def _braid_holds(eye, refl_rows, i: int, j: int, factor: Polynomial) -> bool:
     return left == right
 
 
+def _double_gram_rows(quiver: Quiver) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of 2G = 2E - q * (edge counts), the graph form with int
+    coefficients; s^T (2G) s == 2G exactly when s^T G s == G."""
+    counts = quiver.edge_counts()
+    return tuple(tuple(Polynomial._make([2 if i == j else 0, -c]) for j, c in enumerate(row))
+                 for i, row in enumerate(counts))
+
+
 def _form_invariant(eye, gram_rows, v: int, row) -> bool:
     """s^T G s == G for the reflection s at v whose row v is row.
 
@@ -370,9 +382,9 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                 all(_braid_holds(eye, graph_rows, i, j,
                                  Polynomial([-1, 0, counts[i][j] * counts[j][i]]))
                     for i in range(n) for j in range(i + 1, n) if counts[i][j]))
-        gram = gram_matrix(quiver).rows
+        gram2 = _double_gram_rows(quiver)
         verdict("form_invariance",
-                all(_form_invariant(eye, gram, i, graph_rows[i]) for i in range(n)))
+                all(_form_invariant(eye, gram2, i, graph_rows[i]) for i in range(n)))
         first = admissible_numbering(quiver)
         second = admissible_numbering(quiver, prefer_largest=True)
         phi_graph = _word(eye, graph_rows, *first)
@@ -402,7 +414,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         except NotUnimodular as exc:
             cartan_reason = f"Cartan matrix is not unimodular ({exc})"
         else:
-            phi_cartan = -(cartan.transpose() * inverse)
+            phi_cartan = cartan.transpose() * -inverse
 
     # relation-free theorems compare graph products against the Cartan matrix
     if graph_ok and relation_free and inverse is not None:
@@ -471,11 +483,13 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         for name in ("gamma_coxeter_vs_cartan", "gamma_numbering_independence"):
             add(CheckResult(name, "skipped", "requires an acyclic quiver"))
 
+    # Phi v is the combination of Phi's columns that v names
+    phi_columns = phi_cartan.transpose().rows
     duality_ok = True
     for i in range(n):
         projective = dim_vector(bq, "projective", i, cartan=cartan)
         injective = dim_vector(bq, "injective", i, cartan=cartan)
-        image = phi_cartan.mul_vector(injective)
+        image = row_combination(injective, phi_columns)
         duality_ok = duality_ok and all((a + b).is_zero()
                                         for a, b in zip(projective, image))
     verdict("projective_injective_duality", duality_ok,
@@ -484,12 +498,12 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     rng = random.Random(seed)
     euler_ok = True
     for _ in range(samples):
-        x = [rng.randint(-5, 5) for _ in range(n)]
-        y = [rng.randint(-5, 5) for _ in range(n)]
-        phi_y = phi_cartan.mul_vector(y)
-        direct = euler_form(cartan, x, y, inverse)
-        swapped = euler_form(cartan, phi_y, x, inverse)
-        rotated = euler_form(cartan, phi_cartan.mul_vector(x), phi_y, inverse)
+        x = poly_vector(rng.randint(-5, 5) for _ in range(n))
+        y = poly_vector(rng.randint(-5, 5) for _ in range(n))
+        phi_y = row_combination(y, phi_columns)
+        direct = _bilinear(x, inverse.rows, y)
+        swapped = _bilinear(phi_y, inverse.rows, x)
+        rotated = _bilinear(row_combination(x, phi_columns), inverse.rows, phi_y)
         euler_ok = euler_ok and direct == -swapped and direct == rotated
     verdict("euler_form_coxeter", euler_ok)
 

@@ -10,16 +10,20 @@ immutable row tuples of polynomials.
 
 Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B) over
 the nonzero a_ik only (``row_combination``), so products with the
-near-identity reflection matrices cost what their nonzero entries cost;
-a matrix-vector product is one such combination of the columns.
+near-identity reflection matrices cost what their nonzero entries cost.
+A constant a_ik, the common case, copies or scales row k's coefficient
+lists.  A matrix-vector product is one such combination of the columns,
+and a dot product one combination of one-entry rows.
 The unimodular inverse stays inside the polynomial ring throughout: it
 never forms a rational-function field.  It is a Gauss-Jordan elimination
 that divides only by constant pivots, and the determinant is read off
-those pivots.  Only when some column has no constant pivot do the
-fraction-free Bareiss ``det`` (the ring is an integral domain, so every
-Bareiss division is exact) and the cofactor adjugate run.  Rational row
-reduction (``echelon``, and the rank built on it) is exact sparse
-Gauss-Jordan elimination on dict rows.
+those pivots.  A pivot of 1 or -1 is applied without a division, so when
+every pivot is one of them, int input gives an inverse with int
+coefficients, which cost far less than ``Fraction`` ones.  Only when some
+column has no constant pivot do the fraction-free Bareiss ``det`` (the
+ring is an integral domain, so every Bareiss division is exact) and the
+cofactor adjugate run.  Rational row reduction (``echelon``, and the rank
+built on it) is exact sparse Gauss-Jordan elimination on dict rows.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class Polynomial:
                 raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
 
     @classmethod
     def _make(cls, cs: list) -> "Polynomial":
@@ -69,7 +73,7 @@ class Polynomial:
         while cs and not cs[-1]:
             cs.pop()
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        p.coeffs = tuple(cs)
         return p
 
     @classmethod
@@ -273,13 +277,30 @@ def row_combination(coeffs: Sequence[Polynomial],
     Only the rows with a nonzero coefficient are read, and only their
     nonzero entries are multiplied, so a row of a near-identity matrix costs
     as much as the rows it names.  A single coefficient 1 returns its row
-    unchanged.
+    unchanged; a constant coefficient copies or scales the entries'
+    coefficient lists.
     """
     terms = [(k, c.coeffs) for k, c in enumerate(coeffs) if c.coeffs]
     if len(terms) == 1 and terms[0][1] == (1,):
         return tuple(rows[terms[0][0]])
     acc: list = [None] * len(rows[0])
     for k, ac in terms:
+        if len(ac) == 1:
+            a = ac[0]
+            for j, entry in enumerate(rows[k]):
+                bc = entry.coeffs
+                if not bc:
+                    continue
+                cur = acc[j]
+                if cur is None:
+                    acc[j] = list(bc) if a == 1 else [a * cb for cb in bc]
+                    continue
+                if len(cur) < len(bc):
+                    cur.extend([0] * (len(bc) - len(cur)))
+                for m, cb in enumerate(bc):
+                    cur[m] += a * cb
+            continue
+        nonzero = [(i, ca) for i, ca in enumerate(ac) if ca]
         for j, entry in enumerate(rows[k]):
             bc = entry.coeffs
             if not bc:
@@ -290,11 +311,10 @@ def row_combination(coeffs: Sequence[Polynomial],
                 cur = acc[j] = [0] * need
             elif len(cur) < need:
                 cur.extend([0] * (need - len(cur)))
-            for i, ca in enumerate(ac):
-                if ca:
-                    for m, cb in enumerate(bc, i):
-                        if cb:
-                            cur[m] += ca * cb
+            for i, ca in nonzero:
+                for m, cb in enumerate(bc, i):
+                    if cb:
+                        cur[m] += ca * cb
     return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
 
 
@@ -315,14 +335,14 @@ class PolyMatrix:
         for row in rs:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rs)
+        self.n = n
+        self.rows = rs
 
     @classmethod
     def _make(cls, rows: list[list[Polynomial]]) -> "PolyMatrix":
         m = object.__new__(cls)
-        object.__setattr__(m, "n", len(rows))
-        object.__setattr__(m, "rows", tuple(tuple(r) for r in rows))
+        m.n = len(rows)
+        m.rows = tuple(tuple(r) for r in rows)
         return m
 
     @classmethod
@@ -354,7 +374,7 @@ class PolyMatrix:
                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix._make([[-a for a in row] for row in self.rows])
+        return PolyMatrix._make([[-a if a.coeffs else a for a in row] for row in self.rows])
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -483,7 +503,10 @@ class PolyMatrix:
             pivot_row_of_col[col] = piv
             c = aug[piv][col].coeffs[0]
             det *= c
-            if c != 1:
+            if c == -1:
+                # an int pivot row keeps every later row update in ints
+                aug[piv] = [-e for e in aug[piv]]
+            elif c != 1:
                 inv_c = Fraction(1, 1) / c
                 aug[piv] = [inv_c * e for e in aug[piv]]
             prow = [(j, p) for j, p in enumerate(aug[piv]) if p.coeffs]

@@ -41,6 +41,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
 from .errors import QuiverSyntaxError, ValidationError
@@ -543,7 +545,47 @@ def emit_json_obj(bq: BoundQuiver) -> dict:
 
 
 def emit_json(bq: BoundQuiver) -> str:
-    return json.dumps(emit_json_obj(bq), indent=2) + "\n"
+    return json_text(emit_json_obj(bq)) + "\n"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this writes
+    the same layout directly, with the same string encoder.  Dicts need str
+    keys; values other than dicts, lists, tuples, strings, ints, bools and
+    None go through ``json.dumps`` itself.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(map(isinstance, obj, repeat(str))):
+            items = map(_encode_str, obj)
+        else:
+            items = [_json(item, inner) for item in obj]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_encode_str(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
 
 
 def parse_json_obj(obj: dict) -> BoundQuiver:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qcox.algebra import cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds,
-                          _form_invariant, _involution_holds, admissible_numbering,
-                          bilinear_form_graph, coxeter_matrix_bound,
+                          _double_gram_rows, _form_invariant, _involution_holds,
+                          admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
                           sigma_reflect, symmetric_euler_form,
@@ -552,8 +552,16 @@ def test_row_local_checks_match_full_matrix_identities(case, data):
     assert _braid_holds(eye, rows, i, j, factor) == (left == (si - sj).scaled(factor))
     gram = PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2)) for b in range(n)]
                        for a in range(n)])
-    assert _form_invariant(eye, gram.rows, i, rows[i]) == \
-        (naive_matmul(naive_matmul(si.transpose(), gram), si) == gram)
+    invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
+    assert _form_invariant(eye, gram.rows, i, rows[i]) == invariant
+    # the verifier checks the same identity on 2G, whose coefficients are ints
+    multigraph = Quiver(tuple(str(v) for v in range(n)),
+                        tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
+                              for b in range(a + 1, n) for k in range(counts[a][b])))
+    gram2 = _double_gram_rows(multigraph)
+    assert gram2 == gram_matrix(multigraph).scaled(2).rows == gram.scaled(2).rows
+    assert all(type(c) is int for row in gram2 for e in row for c in e.coeffs)
+    assert _form_invariant(eye, gram2, i, rows[i]) == invariant
 
 
 @pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),
@@ -573,3 +581,22 @@ def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_
     report = verify_identities(BoundQuiver(A3))
     assert not report.passed
     assert idx(report)[identity] == ("fail", "")
+    if row_maker == "_graph_row":
+        # the graph reflection rows also enter the form invariance check
+        assert idx(report)["form_invariance"] == ("fail", "")
+
+
+def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
+    original = PolyMatrix.inverse_unimodular
+
+    def corrupted(self):
+        rows = [list(row) for row in original(self).rows]
+        rows[0][1] = rows[0][1] + P(0, 1)
+        return PolyMatrix(rows)
+
+    assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("pass", "")
+    monkeypatch.setattr(PolyMatrix, "inverse_unimodular", corrupted)
+    report = idx(verify_identities(BoundQuiver(A3)))
+    assert report["projective_injective_duality"] == (
+        "fail", "projective vector differs from -Phi * injective vector")
+    assert report["euler_form_coxeter"] == ("fail", "")

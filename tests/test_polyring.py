@@ -295,6 +295,17 @@ def test_determinant_sign_from_pivot_rows():
         assert raised.value.det == 2 * det
 
 
+def test_inverse_keeps_minus_one_pivots_int():
+    a = M([[-1, Q], [0, 1]])
+    inv = a.inverse_unimodular()
+    assert inv == M([[-1, Q], [0, 1]])
+    assert (a * inv).is_identity()
+    coeffs = [c for row in inv.rows for e in row for c in e.coeffs]
+    assert all(type(c) is int for c in coeffs)
+    found_det, _ = a._inverse_by_constant_pivots()
+    assert found_det == -1 and type(found_det) is int
+
+
 def test_inverse_fallback_without_constant_pivots():
     # every entry has positive degree, so constant-pivot elimination cannot
     # start and the adjugate route must take over
