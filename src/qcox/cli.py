@@ -333,9 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on the first call rather than at import, so that importing
+        # qcox.cli stays cheap; every later call reuses it
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         bq = load_file(args.input)
         return _COMMANDS[args.command](args, bq)

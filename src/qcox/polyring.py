@@ -14,15 +14,16 @@ near-identity reflection matrices cost what their nonzero entries cost.
 A constant a_ik, the common case, copies or scales row k's coefficient
 lists.  A matrix-vector product is one such combination of the columns,
 and a dot product one combination of one-entry rows.
-The unimodular inverse stays inside the polynomial ring throughout: it
-never forms a rational-function field.  It is a Gauss-Jordan elimination
-that divides only by constant pivots, and the determinant is read off
-those pivots.  A pivot of 1 or -1 is applied without a division, so when
-every pivot is one of them, int input gives an inverse with int
-coefficients, which cost far less than ``Fraction`` ones.  Only when some
-column has no constant pivot do the fraction-free Bareiss ``det`` (the
-ring is an integral domain, so every Bareiss division is exact) and the
-cofactor adjugate run.  Rational row reduction (``echelon``, and the rank
+The determinant and the unimodular inverse come from one Gauss-Jordan
+elimination over the Euclidean domain Q[q], which never forms a
+rational-function field.  Each column's pivot is a live row of least
+degree; while it is not constant, polynomial division by it lowers the
+degree of the other live rows, so a non-constant pivot remains only when
+it is alone in its column, and then det is no unit.  The determinant is
+the sign of the row swaps times the pivots.  A pivot of 1 or -1 is
+applied without a division, so when every pivot is one of them, int input
+gives an inverse with int coefficients, which cost far less than
+``Fraction`` ones.  Rational row reduction (``echelon``, and the rank
 built on it) is exact sparse Gauss-Jordan elimination on dict rows.
 """
 
@@ -83,12 +84,6 @@ class Polynomial:
         if isinstance(value, _COEFF_TYPES) and not isinstance(value, bool):
             return cls._make([value])
         raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
-
-    @classmethod
-    def monomial(cls, coeff, degree: int) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return cls._make([0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -177,39 +172,6 @@ class Polynomial:
         return Polynomial._make(cs)
 
     __rmul__ = __mul__
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Divide by a polynomial that divides self exactly.
-
-        Used by Bareiss steps, whose divisions are exact over an integral
-        domain; a nonzero remainder means corrupted input and raises.
-        """
-        d = divisor.coeffs
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        if len(d) == 1:
-            c = d[0]
-            if c == 1:
-                return self
-            if c == -1:
-                return -self
-            return Polynomial._make([Fraction(a, 1) / c if isinstance(a, int) else a / c
-                                     for a in self.coeffs])
-        rem = list(self.coeffs)
-        dn = len(d)
-        lead = d[-1]
-        quot = [0] * max(len(rem) - dn + 1, 0)
-        for k in range(len(rem) - dn, -1, -1):
-            top = rem[k + dn - 1]
-            if not top:
-                continue
-            f = Fraction(top, 1) / lead if isinstance(top, int) else top / lead
-            quot[k] = f
-            for i, c in enumerate(d):
-                rem[k + i] -= f * c
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return Polynomial._make(quot)
 
     def evaluate(self, q0) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
@@ -415,31 +377,8 @@ class PolyMatrix:
             all(self.rows[i][j].is_zero() for i in range(self.n) for j in range(i + 1, self.n))
 
     def det(self) -> Polynomial:
-        """Determinant by fraction-free Bareiss elimination."""
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = _ONE
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if m[r][k]), None)
-            if piv is None:
-                return _ZERO
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]).exact_div(prev)
-                row_i[k] = _ZERO
-            prev = pivot
-        d = m[n - 1][n - 1]
-        return -d if sign < 0 else d
+        """Determinant, by the elimination that also inverts (``_eliminate``)."""
+        return self._eliminate(False)[0]
 
     def adjugate(self) -> "PolyMatrix":
         """Transpose of the cofactor matrix; satisfies M*adj(M) = det(M)*E."""
@@ -459,69 +398,63 @@ class PolyMatrix:
         """Inverse of a matrix with determinant +1 or -1.
 
         The result is the adjugate scaled by the determinant, so entries stay
-        in the polynomial ring.  A constant-pivot elimination computes it
-        directly whenever possible (always, for Cartan matrices of acyclic
-        quivers, which are unitriangular up to a simultaneous permutation of
-        rows and columns), and reads the determinant off its pivots; Bareiss
-        ``det`` and the cofactor adjugate cover the rest.
+        in the polynomial ring.  One Gauss-Jordan elimination over Q[q]
+        (``_eliminate``) gives the inverse and the determinant together.
 
         Raises NotUnimodular when det is not +1 or -1.
         """
-        found = self._inverse_by_constant_pivots()
-        if found is not None:
-            d, inv = found
-            if d != 1 and d != -1:
-                raise NotUnimodular(Polynomial._make([d]))
-            return inv
-        d = self.det()
-        if d != 1 and d != -1:
-            raise NotUnimodular(d)
-        adj = self.adjugate()
-        return adj if d == 1 else -adj
+        det, inv = self._eliminate(True)
+        if inv is None or (det != 1 and det != -1):
+            raise NotUnimodular(det)
+        return inv
 
-    def _inverse_by_constant_pivots(self) -> "tuple[object, PolyMatrix] | None":
-        # Gauss-Jordan on [M | E], only ever dividing by nonzero constants;
-        # returns (det, inverse), or None when some column has no constant
-        # pivot.  Scaling a row by 1/c divides det by c and row additions
-        # keep it, so det(M) is the product of the pivots times the sign of
-        # the permutation that takes each column to its pivot row.
+    def _eliminate(self, invert: bool) -> "tuple[Polynomial, PolyMatrix | None]":
+        # Gauss-Jordan on [M | E], or on M alone for det, over the Euclidean
+        # domain Q[q]; returns (det, inverse or None).  A column's pivot is
+        # the live row (col..n-1, nonzero entry) of least degree, the first
+        # on ties.  While it is not constant, subtracting its quotient
+        # multiples from the other live rows leaves them of lower degree, so
+        # the pivot degree falls every round.  Row additions keep det, a
+        # swap negates it and scaling a row by 1/c divides it by c, so det is
+        # the sign of the swaps times the pivots as chosen.  A non-constant
+        # pivot alone in its column makes det a non-unit: inverting stops
+        # and only the rows below are cleared from then on.
         n = self.n
-        aug = [list(self.rows[i]) + [(_ONE if j == i else _ZERO) for j in range(n)]
-               for i in range(n)]
-        free = set(range(n))
-        pivot_row_of_col = [0] * n
-        det = 1
+        m = [list(row) + ([_ONE if j == i else _ZERO for j in range(n)] if invert else [])
+             for i, row in enumerate(self.rows)]
+        det = _ONE
         for col in range(n):
-            piv = None
-            for r in range(n):
-                if r in free and aug[r][col].constant_value():
-                    piv = r
+            while True:
+                live = [r for r in range(col, n) if m[r][col].coeffs]
+                if not live:
+                    return _ZERO, None
+                piv = min(live, key=lambda r: len(m[r][col].coeffs))
+                pivot = m[piv][col]
+                if len(pivot.coeffs) == 1 or len(live) == 1:
                     break
-            if piv is None:
-                return None
-            free.discard(piv)
-            pivot_row_of_col[col] = piv
-            c = aug[piv][col].coeffs[0]
-            det *= c
+                prow = [(j, p) for j, p in enumerate(m[piv]) if p.coeffs]
+                for r in live:
+                    if r != piv:
+                        _subtract(m[r], _quotient(m[r][col], pivot), prow)
+            if piv != col:
+                m[col], m[piv] = m[piv], m[col]
+                det = -det
+            det = det * pivot
+            if len(pivot.coeffs) > 1:
+                invert = False
+                continue
+            c = pivot.coeffs[0]
             if c == -1:
                 # an int pivot row keeps every later row update in ints
-                aug[piv] = [-e for e in aug[piv]]
+                m[col] = [-e for e in m[col]]
             elif c != 1:
                 inv_c = Fraction(1, 1) / c
-                aug[piv] = [inv_c * e for e in aug[piv]]
-            prow = [(j, p) for j, p in enumerate(aug[piv]) if p.coeffs]
-            for r in range(n):
-                if r == piv:
-                    continue
-                f = aug[r][col]
-                if f.is_zero():
-                    continue
-                row = aug[r]
-                for j, p in prow:
-                    row[j] = row[j] - f * p
-        if _permutation_sign(pivot_row_of_col) < 0:
-            det = -det
-        return det, PolyMatrix._make([aug[pivot_row_of_col[j]][n:] for j in range(n)])
+                m[col] = [inv_c * e for e in m[col]]
+            prow = [(j, p) for j, p in enumerate(m[col]) if p.coeffs]
+            for r in range(n) if invert else range(col + 1, n):
+                if r != col and m[r][col].coeffs:
+                    _subtract(m[r], m[r][col], prow)
+        return det, PolyMatrix._make([row[n:] for row in m]) if invert else None
 
     def specialize(self, q0) -> list[list[Fraction]]:
         """Entrywise exact evaluation at q = q0."""
@@ -555,18 +488,31 @@ class PolyMatrix:
             raise ValueError(f"matrix orders differ: {self.n} vs {other.n}")
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    # each cycle of length L is L - 1 transpositions
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            if not seen[j]:
-                sign = -sign
-    return sign
+def _subtract(row: list, f: Polynomial, prow: Sequence[tuple[int, Polynomial]]) -> None:
+    # row -= f * (the row whose nonzero entries prow lists)
+    for j, p in prow:
+        row[j] = row[j] - f * p
+
+
+def _quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Quotient of the division of a by b with remainder; the remainder
+    is dropped."""
+    d = b.coeffs
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dn = len(d)
+    lead = d[-1]
+    quot = [0] * max(len(rem) - dn + 1, 0)
+    for k in range(len(rem) - dn, -1, -1):
+        top = rem[k + dn - 1]
+        if not top:
+            continue
+        # 1/lead is lead itself for a lead of 1 or -1, which keeps ints
+        f = quot[k] = top * lead if lead in (1, -1) else Fraction(top) / lead
+        for i, c in enumerate(d):
+            rem[k + i] -= f * c
+    return Polynomial._make(quot)
 
 
 def echelon(rows: Iterable[Mapping[int, object]]) -> dict[int, dict[int, object]]:

@@ -351,6 +351,43 @@ def random_cyclic_bound_quiver(rng):
                        name="cyclic")
 
 
+def random_quadratic_monomial_quiver(rng):
+    """Seeded bound quiver on 1-3 vertices with 1-4 random arrows, loops
+    and cycles allowed, bound by a random set of length-2 paths."""
+    n = rng.randint(1, 3)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 4))]
+    free = _bound_quiver(n, pairs, [], "")
+    rels = [[(1, list(p[0]))] for p in _all_paths(free.quiver, 2) if rng.random() < 0.5]
+    return _bound_quiver(n, pairs, rels, "monomial")
+
+
+def koszul_dual(bq):
+    """A! of an algebra whose relations are quadratic monomials: the
+    opposite quiver, bound by the reversed length-2 paths (a*b becomes
+    b* a*) that are not relations of A."""
+    if any(rel.length != 2 or len(rel.terms) != 1 for rel in bq.relations):
+        raise ValueError("relations must be quadratic monomials")
+    quiver = bq.quiver
+    bound = {rel.terms[0][1].arrows for rel in bq.relations}
+    rels = [[(1, [p[0][1], p[0][0]])] for p in _all_paths(quiver, 2) if p[0] not in bound]
+    return _bound_quiver(quiver.n, [(a.target, a.source) for a in quiver.arrows], rels,
+                         "dual")
+
+
+def koszul_inverse(bq) -> PolyMatrix:
+    """C^-1 of a quadratic monomial algebra A, which is Koszul:
+    C_A^-1(q) = C_{A!}(-q)^T, with the graded dims of A! by full
+    enumeration.  Runs no elimination; A! must be finite-dimensional,
+    which it is when C_A is unimodular."""
+    dims, _ = naive_graded_dims(koszul_dual(bq))
+    n = bq.quiver.n
+    top = max(d for _, _, d in dims)
+    coeffs = [[[0] * (top + 1) for _ in range(n)] for _ in range(n)]
+    for (i, j, d), value in dims.items():
+        coeffs[j][i][d] = -value if d % 2 else value
+    return PolyMatrix([[Polynomial(cs) for cs in row] for row in coeffs])
+
+
 def classical_cartan_by_path_counts(quiver):
     """Ungraded Cartan matrix of a relation-free acyclic quiver: total path
     counts per vertex pair, found by DFS without any degree bookkeeping."""

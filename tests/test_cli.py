@@ -307,6 +307,26 @@ def test_output_determinism(qv, capsys):
     assert len(outputs) == 1
 
 
+def test_later_main_calls_match_a_fresh_process(qv, capsys):
+    import qcox.cli as cli_module
+    # main builds its parser once per process; no option of an earlier call
+    # may leak into a later one with another subcommand or other options
+    path = qv("dc.qv", DOUBLE_CHAIN_TEXT)
+    first = run_cli(capsys, "forms", path, "--symmetric", "--x=1,0,2", "--y=0,1,1",
+                    "--format=json")
+    assert first[0] == 0
+    parser = cli_module._parser
+    for argv in (["coxeter", path, "--method", "reflections", "--at-q=2"],
+                 ["forms", path, "--x=1,0,2", "--y=0,1,1"],
+                 ["dims", path, "--injective", "--vertex", "2", "--format=latex"]):
+        in_process = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "qcox", *argv],
+                              capture_output=True, text=True)
+        assert in_process[:2] == (proc.returncode, proc.stdout)
+        assert in_process[0] == 0
+    assert cli_module._parser is parser
+
+
 def test_module_entry_point_smoke(qv, tmp_path):
     path = tmp_path / "a3.qv"
     path.write_text(A3_TEXT)

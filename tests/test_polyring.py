@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcox.errors import NotUnimodular
-from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, echelon,
-                           format_rational, parse_rational, rank_rational)
+from qcox import polyring
+from qcox.algebra import cartan_matrix
+from qcox.errors import NotUnimodular, QcoxError
+from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quotient,
+                           echelon, format_rational, parse_rational, rank_rational)
 
-from oracles import det_permutation_sum, gauss_pivot_columns, gauss_rank, naive_matmul
+from oracles import (det_permutation_sum, gauss_pivot_columns, gauss_rank, koszul_inverse,
+                     naive_matmul, naive_sink_order, random_cyclic_bound_quiver,
+                     random_quadratic_monomial_quiver)
 
 
 def P(*coeffs):
@@ -79,14 +83,23 @@ def test_polynomial_serialization_round_trip():
     assert Polynomial.from_coeff_strings(strings) == p
 
 
-def test_exact_div():
+def test_quotient():
     p = P(1, 0, 1) * P(2, 3)
-    assert p.exact_div(P(2, 3)) == P(1, 0, 1)
-    assert p.exact_div(ONE) == p
-    with pytest.raises(ArithmeticError):
-        P(1, 1).exact_div(P(0, 1))
+    assert _quotient(p, P(2, 3)) == P(1, 0, 1)
+    assert _quotient(p, ONE) == p
+    # 1 + q = 1 * q + 1: the remainder 1 is dropped
+    assert _quotient(P(1, 1), P(0, 1)) == ONE
+    # 1 + 2q + 3q^2 = (1 + 2q)(1/4 + (3/2)q) + 3/4
+    assert _quotient(P(1, 2, 3), P(1, 2)) == P(Fraction(1, 4), Fraction(3, 2))
     with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
+        _quotient(ONE, ZERO)
+
+
+@given(poly_st, poly_st)
+def test_quotient_leaves_a_remainder_of_lower_degree(a, b):
+    if b.is_zero():
+        return
+    assert (a - b * _quotient(a, b)).degree < b.degree
 
 
 def test_evaluate():
@@ -284,9 +297,8 @@ def test_determinant_sign_from_pivot_rows():
     shifted_swap = M([[Q, 1], [1, 0]])
     three_cycle = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for a, det in ((swap, -1), (shifted_swap, -1), (three_cycle, 1)):
-        found_det, inv = a._inverse_by_constant_pivots()
-        assert found_det == det == a.det() == det_permutation_sum(a)
-        assert a.inverse_unimodular() == inv
+        assert a.det() == det == det_permutation_sum(a)
+        inv = a.inverse_unimodular()
         assert (a * inv).is_identity() and (inv * a).is_identity()
         # doubling the first row doubles the determinant, sign included
         doubled = M([[2 * e for e in a.rows[0]]] + [list(r) for r in a.rows[1:]])
@@ -302,18 +314,24 @@ def test_inverse_keeps_minus_one_pivots_int():
     assert (a * inv).is_identity()
     coeffs = [c for row in inv.rows for e in row for c in e.coeffs]
     assert all(type(c) is int for c in coeffs)
-    found_det, _ = a._inverse_by_constant_pivots()
-    assert found_det == -1 and type(found_det) is int
+    found_det = a.det()
+    assert found_det == -1 and type(found_det.coeffs[0]) is int
 
 
-def test_inverse_fallback_without_constant_pivots():
-    # every entry has positive degree, so constant-pivot elimination cannot
-    # start and the adjugate route must take over
+def test_inverse_without_constant_pivots():
+    # every entry has positive degree, so no column starts with a constant
+    # pivot and the Euclidean rounds must make one
     a = M([[P(1, 1), Q], [P(2, 1), P(1, 1)]])
-    assert a._inverse_by_constant_pivots() is None
+    assert not any(e.is_constant() for row in a.rows for e in row)
     inv = a.inverse_unimodular()
     assert inv == M([[P(1, 1), -Q], [P(-2, -1), P(1, 1)]])
     assert (a * inv).is_identity() and (inv * a).is_identity()
+    # no constant entry anywhere, in either orientation
+    b = M([[P(1, 0, 1), P(0, 2, 0, 1)], [Q, P(1, 0, 1)]])
+    for c in (b, b.transpose()):
+        assert not any(e.is_constant() for row in c.rows for e in row)
+        inv = c.inverse_unimodular()
+        assert naive_matmul(c, inv).is_identity() and naive_matmul(inv, c).is_identity()
 
 
 def test_inverse_round_trip_random():
@@ -325,6 +343,55 @@ def test_inverse_round_trip_random():
         assert (a * inv).is_identity()
         assert (inv * a).is_identity()
         assert a.adjugate() == (inv if a.det() == 1 else -inv)
+
+
+def test_cyclic_cartan_sweep(monkeypatch):
+    # Cartan matrices of cyclic quivers often have no constant pivot where
+    # the elimination needs one, so this sweep reaches the Euclidean rounds
+    quotients = []
+
+    def counted(a, b):
+        quotients.append(b)
+        return _quotient(a, b)
+
+    monkeypatch.setattr(polyring, "_quotient", counted)
+    rng = random.Random(31)
+    unimodular = euclidean = 0
+    for _ in range(300):
+        a = cartan_matrix(random_cyclic_bound_quiver(rng))
+        assert a.n <= 4
+        det = a.det()
+        assert det == det_permutation_sum(a)
+        rounds = len(quotients)
+        try:
+            inv = a.inverse_unimodular()
+        except NotUnimodular as raised:
+            assert raised.det == det and det != 1 and det != -1
+            continue
+        unimodular += 1
+        euclidean += len(quotients) > rounds
+        assert naive_matmul(a, inv).is_identity()
+    assert unimodular >= 20 and euclidean >= 5
+
+
+def test_inverse_matches_koszul_dual():
+    rng = random.Random(37)
+    matched = cyclic = 0
+    for _ in range(300):
+        bq = random_quadratic_monomial_quiver(rng)
+        try:
+            a = cartan_matrix(bq, degree_cap=16, max_dim=200)
+        except QcoxError:       # infinite-dimensional
+            continue
+        try:
+            inv = a.inverse_unimodular()
+        except NotUnimodular:
+            assert det_permutation_sum(a) not in (1, -1)
+            continue
+        assert inv == koszul_inverse(bq)
+        matched += 1
+        cyclic += naive_sink_order(bq.quiver) is None
+    assert matched >= 30 and cyclic >= 5
 
 
 def test_specialize_golden():
