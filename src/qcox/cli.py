@@ -110,11 +110,13 @@ def _dumps(obj) -> str:
     return json_text(obj)
 
 
-def _parse_vector(text: str, n: int) -> list[Fraction]:
+def _parse_vector(text: str, n: int) -> list:
+    # an integral entry becomes an int, which costs far less than a Fraction
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
         raise ValueError(f"vector needs {n} comma-separated entries, got {len(parts)}")
-    return [parse_rational(p) for p in parts]
+    values = [parse_rational(p) for p in parts]
+    return [v.numerator if v.denominator == 1 else v for v in values]
 
 
 def _vertex_index(bq: BoundQuiver, name: str | None) -> int | None:

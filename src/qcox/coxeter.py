@@ -19,11 +19,28 @@ product is built one row update per reflection, never as a matrix product.
 
 ``verify_identities`` runs every identity the library promises on a given
 bound quiver and reports pass/fail/skipped per identity, skipping the ones
-whose hypotheses the input does not meet.  Identities between reflections
-are built on the shared rows of the identity matrix, so only the rows the
-reflections change are computed and compared.  Form invariance is checked
-on the integer form 2G, and the Euler-form and duality checks take the
-columns of Phi once per call.
+whose hypotheses the input does not meet.  Identities between reflections,
+and the sink checks s C s^T and s Phi s, are built on the shared rows of
+the identity matrix, so only the rows the reflections change are computed
+and compared.  Form invariance is checked on the integer form 2G.
+
+Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
+1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
+compares integers, which is exact when every compared coefficient is at
+most B in absolute value and w = slot_width(B).  B comes once per call
+from the input norms: ``norm`` (the max row sum) is submultiplicative, and
+so is nu(X) = max(norm(X), norm(X^T)), which also bounds X^T.  With m and
+p the largest and the product of the reflections' norms, a word checked
+has norm at most m p (each letter once, or one twice), s Phi s at most
+m^2 p, the braid sides at most 2 m p and (1 + c_ij c_ji)(1 + m), and
+s^T (2G) s at most (1 + m) norm(2G) m, as the column sums of s are at most
+1 + m.  Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), the duality
+vectors are at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), the
+C of a quiver with reversed arrows at most its norm, and the Euler-form
+samples, with entries at most r = 5, at most n r^2 nu(C^-1) phi^2.
+``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms multiply
+once and stay on Polynomial rows, where packing the inputs and unpacking
+the result would cost more than the product.
 """
 
 from __future__ import annotations
@@ -31,12 +48,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul, sub
 
-from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_matrix, dim_vector
+from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_matrix
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
-from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, poly_vector,
-                       row_combination)
+from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
+                       packed_combination, poly_vector, row_combination, slot_width)
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
 _HALF_Q = Polynomial([0, Fraction(1, 2)])
@@ -75,10 +94,11 @@ def _reflection(row: tuple[Polynomial, ...], i: int, flavor: str) -> ReflectionM
     return ReflectionMatrix(PolyMatrix._make(rows), i, flavor)
 
 
-def _reflection_product(numbering, row_of, rows) -> tuple[tuple[Polynomial, ...], ...]:
+def _reflection_product(numbering, row_of, rows, combine=row_combination):
     """Rows of the product of the reflections at the vertices of the
     numbering, first vertex leftmost, times the matrix with the given rows;
-    row_of(v) is row v of the reflection at v.
+    row_of(v) is row v of the reflection at v.  combine is the row kernel:
+    row_combination for Polynomial rows, packed_combination for packed ones.
 
     A reflection s differs from E only in row v, so s * M is M with row v
     replaced by the combination of M's rows that row v of s names.  The
@@ -88,8 +108,12 @@ def _reflection_product(numbering, row_of, rows) -> tuple[tuple[Polynomial, ...]
     """
     rows = list(rows)
     for v in reversed(numbering):
-        rows[v] = row_combination(row_of(v), rows)
-    return tuple(rows)
+        rows[v] = combine(row_of(v), rows)
+    return rows
+
+
+def _pack_rows(rows, w: int) -> list[list[int]]:
+    return [[pack(p, w) for p in row] for row in rows]
 
 
 def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
@@ -241,14 +265,10 @@ def euler_form(cartan: PolyMatrix, x, y,
     xv, yv = poly_vector(x), poly_vector(y)
     if len(xv) != inverse.n or len(yv) != inverse.n:
         raise ValueError(f"vectors must have length {inverse.n}")
-    return _bilinear(xv, inverse.rows, yv)
-
-
-def _bilinear(x, rows, y) -> Polynomial:
-    # x^T M y for the matrix M with the given rows: x^T M is one combination
-    # of M's rows, and its dot product with y is another
-    xm = row_combination(x, rows)
-    return row_combination(y, [(e,) for e in xm])[0]
+    # x^T C^-1 is one combination of C^-1's rows, and its dot product with
+    # y is another
+    xm = row_combination(xv, inverse.rows)
+    return row_combination(yv, [(e,) for e in xm])[0]
 
 
 def symmetric_euler_form(cartan: PolyMatrix, x, y,
@@ -285,18 +305,18 @@ class CheckReport:
                 for c in self.checks]
 
 
-# Each identity between reflections is checked on rows of E: ``eye`` is
-# PolyMatrix.identity(n).rows and refl_rows[v] is row v of the reflection
-# s_v at v.  A word in reflections at the vertices V equals E outside the
-# rows in V, and those rows are the same objects of eye on both sides of an
+# Each identity between reflections is checked on packed rows of E: ``eye``
+# is E's packed rows and refl_rows[v] is packed row v of the reflection s_v
+# at v.  A word in reflections at the vertices V equals E outside the rows
+# in V, and those rows are the same objects of eye on both sides of an
 # identity, so comparing the whole matrices costs what the changed rows cost.
 
-def _word(eye, refl_rows, *vertices) -> tuple[tuple[Polynomial, ...], ...]:
+def _word(eye, refl_rows, *vertices) -> list[list[int]]:
     # the rightmost reflection times E is that reflection: E with one row replaced
     *rest, last = vertices
     rows = list(eye)
     rows[last] = refl_rows[last]
-    return _reflection_product(rest, refl_rows.__getitem__, rows)
+    return _reflection_product(rest, refl_rows.__getitem__, rows, packed_combination)
 
 
 def _involution_holds(eye, refl_rows, i: int) -> bool:
@@ -309,18 +329,17 @@ def _commutation_holds(eye, refl_rows, i: int, j: int) -> bool:
     return _word(eye, refl_rows, i, j) == _word(eye, refl_rows, j, i)
 
 
-def _braid_holds(eye, refl_rows, i: int, j: int, factor: Polynomial) -> bool:
-    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j)."""
-    zero = (ZERO,) * len(eye)
+def _braid_holds(eye, refl_rows, i: int, j: int, factor: int) -> bool:
+    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j), factor packed."""
+    zero = [0] * len(eye)
 
     def minus(a, b):
         # a row that a and b share is the zero row of the difference
-        return tuple(zero if x is y else tuple(p - r if r.coeffs else p for p, r in zip(x, y))
-                     for x, y in zip(a, b))
+        return [zero if x is y else list(map(sub, x, y)) for x, y in zip(a, b)]
 
     left = minus(_word(eye, refl_rows, i, j, i), _word(eye, refl_rows, j, i, j))
-    right = tuple(row if row is zero else tuple(factor * e for e in row)
-                  for row in minus(_word(eye, refl_rows, i), _word(eye, refl_rows, j)))
+    right = [row if row is zero else [factor * e for e in row]
+             for row in minus(_word(eye, refl_rows, i), _word(eye, refl_rows, j))]
     return left == right
 
 
@@ -333,7 +352,7 @@ def _double_gram_rows(quiver: Quiver) -> tuple[tuple[Polynomial, ...], ...]:
 
 
 def _form_invariant(eye, gram_rows, v: int, row) -> bool:
-    """s^T G s == G for the reflection s at v whose row v is row.
+    """s^T G s == G for the reflection s at v whose row v is row, packed.
 
     With s = E + e_v u^T, G s differs from G only in the rows m with
     G[m][v] != 0, and s^T M from M only in the rows k with u_k != 0; the
@@ -341,11 +360,45 @@ def _form_invariant(eye, gram_rows, v: int, row) -> bool:
     """
     s = list(eye)
     s[v] = row
-    gs = [row_combination(g, s) if g[v] else g for g in gram_rows]
+    gs = [packed_combination(g, s) if g[v] else g for g in gram_rows]
     # row k of s^T is column k of s
-    sgs = tuple(row_combination([r[k] for r in s], gs) if row[k] != eye[v][k] else gs[k]
-                for k in range(len(row)))
+    sgs = [packed_combination([r[k] for r in s], gs) if row[k] != eye[v][k] else gs[k]
+           for k in range(len(row))]
     return sgs == gram_rows
+
+
+def _congruent(rows, v: int, row) -> list[list[int]]:
+    """s M s^T for the reflection s at v whose row v is row: s M changes
+    row v only, and times s^T each row's entry v becomes its dot product
+    with row."""
+    sm = list(rows)
+    sm[v] = packed_combination(row, rows)
+    return [r[:v] + [sum(map(mul, r, row))] + r[v + 1:] for r in sm]
+
+
+def _two_sided(eye, rows, v: int, row) -> list[list[int]]:
+    """s M s for the reflection s at v whose row v is row: s M changes row
+    v only, and times s only the rows with a nonzero entry v change."""
+    s = list(eye)
+    s[v] = row
+    sm = list(rows)
+    sm[v] = packed_combination(row, rows)
+    return [packed_combination(r, s) if r[v] else r for r in sm]
+
+
+def _bilinear(x, rows, y) -> int:
+    # x^T M y for the matrix M with the given packed rows
+    return sum(map(mul, packed_combination(x, rows), y))
+
+
+def _letter_norms(rows) -> tuple[int, int]:
+    # (largest, product) of the norms of the reflections with these rows
+    norms = [norm([row]) for row in rows]
+    return max(norms), prod(norms)
+
+
+# Euler-form samples draw their entries from [-_SAMPLE_MAX, _SAMPLE_MAX]
+_SAMPLE_MAX = 5
 
 
 def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
@@ -362,7 +415,6 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     loop_free = not quiver.loops()
     relation_free = not bq.relations
     counts = quiver.edge_counts()
-    eye = PolyMatrix.identity(n).rows
 
     def verdict(name: str, ok: bool, why_fail: str = "") -> None:
         add(CheckResult(name, "pass" if ok else "fail", "" if ok else why_fail))
@@ -370,35 +422,6 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     # graph-level identities need an acyclic orientation without loops
     graph_ok = acyclic and loop_free
     graph_skip = "requires an acyclic quiver" if not acyclic else "requires a loop-free quiver"
-    if graph_ok:
-        graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
-        verdict("reflection_involution",
-                all(_involution_holds(eye, graph_rows, i) for i in range(n)))
-        verdict("reflection_commutation",
-                all(_commutation_holds(eye, graph_rows, i, j)
-                    for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0))
-        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2
-        verdict("reflection_braid",
-                all(_braid_holds(eye, graph_rows, i, j,
-                                 Polynomial([-1, 0, counts[i][j] * counts[j][i]]))
-                    for i in range(n) for j in range(i + 1, n) if counts[i][j]))
-        gram2 = _double_gram_rows(quiver)
-        verdict("form_invariance",
-                all(_form_invariant(eye, gram2, i, graph_rows[i]) for i in range(n)))
-        first = admissible_numbering(quiver)
-        second = admissible_numbering(quiver, prefer_largest=True)
-        phi_graph = _word(eye, graph_rows, *first)
-        if first == second:
-            add(CheckResult("coxeter_numbering_independence", "skipped",
-                            "only one admissible numbering available"))
-        else:
-            verdict("coxeter_numbering_independence",
-                    _word(eye, graph_rows, *second) == phi_graph)
-    else:
-        for name in ("reflection_involution", "reflection_commutation",
-                     "reflection_braid", "form_invariance",
-                     "coxeter_numbering_independence"):
-            add(CheckResult(name, "skipped", graph_skip))
 
     # Cartan matrix of the bound quiver, shared by everything below
     try:
@@ -407,30 +430,91 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     except DegreeCapExceeded as exc:
         cartan = None
         cartan_reason = f"graded dimensions did not terminate ({exc})"
-    inverse = phi_cartan = None
+    inverse = None
     if cartan is not None:
         try:
             inverse = cartan.inverse_unimodular()
         except NotUnimodular as exc:
             cartan_reason = f"Cartan matrix is not unimodular ({exc})"
+    sink_ok = graph_ok and relation_free and inverse is not None
+    # per sink: Cartan matrix, numbering and graph rows with its arrows reversed
+    flipped = []
+    for i in quiver.sinks() if sink_ok else ():
+        f = sigma_reflect(quiver, i)
+        f_counts = f.edge_counts()
+        flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
+                        admissible_numbering(f), [_graph_row(f, f_counts, v) for v in range(n)]))
+
+    # one slot width for the call, from the bounds of the module docstring
+    terms = [1]
+    if graph_ok:
+        graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
+        m, p = _letter_norms(graph_rows)
+        braid = 1 + max(counts[i][j] * counts[j][i] for i in range(n) for j in range(n))
+        terms.append(m * (m + 1) * max(p * braid, norm(_double_gram_rows(quiver))))
+    if inverse is not None:
+        form = symmetric_form_matrix(cartan, inverse)
+        gamma_rows = [_gamma_row(form, i) for i in range(n)]
+        gm, gp = _letter_norms(gamma_rows)
+        nu_c, nu_inverse = (max(norm(x.rows), norm(zip(*x.rows))) for x in (cartan, inverse))
+        phi = nu_c * nu_inverse
+        terms += [gm * gp, nu_c * phi, n * _SAMPLE_MAX ** 2 * nu_inverse * phi * phi]
+    for _, flipped_c, _, flipped_rows in flipped:
+        terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows),
+                  _letter_norms(flipped_rows)[1]]
+    w = slot_width(max(terms))
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    if graph_ok:
+        graph_p = _pack_rows(graph_rows, w)
+        verdict("reflection_involution",
+                all(_involution_holds(eye, graph_p, i) for i in range(n)))
+        verdict("reflection_commutation",
+                all(_commutation_holds(eye, graph_p, i, j)
+                    for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0))
+        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2, packed
+        verdict("reflection_braid",
+                all(_braid_holds(eye, graph_p, i, j, (counts[i][j] * counts[j][i] << 2 * w) - 1)
+                    for i in range(n) for j in range(i + 1, n) if counts[i][j]))
+        gram2 = _pack_rows(_double_gram_rows(quiver), w)
+        verdict("form_invariance",
+                all(_form_invariant(eye, gram2, i, graph_p[i]) for i in range(n)))
+        first = admissible_numbering(quiver)
+        second = admissible_numbering(quiver, prefer_largest=True)
+        phi_graph = _word(eye, graph_p, *first)
+        if first == second:
+            add(CheckResult("coxeter_numbering_independence", "skipped",
+                            "only one admissible numbering available"))
         else:
-            phi_cartan = cartan.transpose() * -inverse
+            verdict("coxeter_numbering_independence",
+                    _word(eye, graph_p, *second) == phi_graph)
+    else:
+        for name in ("reflection_involution", "reflection_commutation",
+                     "reflection_braid", "form_invariance",
+                     "coxeter_numbering_independence"):
+            add(CheckResult(name, "skipped", graph_skip))
+
+    if inverse is not None:
+        cartan_p = _pack_rows(cartan.rows, w)
+        inverse_p = _pack_rows(inverse.rows, w)
+        # column j of Phi = -C^T C^-1 is the combination of C's rows that
+        # column j of -C^-1 names: the packed kernel costs n operations per
+        # coefficient, and C^-1 is the sparser (E - q * arrow counts when
+        # there are no relations)
+        phi_columns = [packed_combination([-e for e in column], cartan_p)
+                       for column in zip(*inverse_p)]
+        phi_cartan = [list(row) for row in zip(*phi_columns)]
 
     # relation-free theorems compare graph products against the Cartan matrix
-    if graph_ok and relation_free and inverse is not None:
-        verdict("coxeter_vs_cartan", phi_graph == phi_cartan.rows)
-        phi = PolyMatrix._make(phi_graph)
-        sink_c_ok = True
-        sink_phi_ok = True
-        for i in quiver.sinks():
-            s = _reflection(graph_rows[i], i, "graph").matrix
-            flipped = sigma_reflect(quiver, i)
-            flipped_c = cartan_matrix(BoundQuiver(flipped), degree_cap, max_dim)
-            flipped_phi = coxeter_matrix_graph(flipped)
-            sink_c_ok = sink_c_ok and flipped_c == s * cartan * s.transpose()
-            sink_phi_ok = sink_phi_ok and flipped_phi == s * phi * s
-        verdict("sink_reflection_cartan", sink_c_ok)
-        verdict("sink_reflection_coxeter", sink_phi_ok)
+    if sink_ok:
+        verdict("coxeter_vs_cartan", phi_graph == phi_cartan)
+        verdict("sink_reflection_cartan",
+                all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
+                    for i, c, _, _ in flipped))
+        verdict("sink_reflection_coxeter",
+                all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
+                    _word(eye, _pack_rows(rows, w), *numbering)
+                    for i, _, numbering, rows in flipped))
     else:
         if not graph_ok:
             reason = graph_skip
@@ -449,13 +533,11 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
             add(CheckResult(name, "skipped", cartan_reason))
         return CheckReport(tuple(results))
 
-    form = symmetric_form_matrix(cartan, inverse)
-    gamma_rows = [_gamma_row(form, i) for i in range(n)]
-
+    gamma_p = _pack_rows(gamma_rows, w)
     involutive = [i for i in range(n) if form.entry(i, i) == 2]
     if involutive:
         verdict("gamma_involution",
-                all(_involution_holds(eye, gamma_rows, i) for i in involutive))
+                all(_involution_holds(eye, gamma_p, i) for i in involutive))
     else:
         add(CheckResult("gamma_involution", "skipped",
                         "no vertex with diagonal form entry 2"))
@@ -463,47 +545,43 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                        if form.entry(i, j).is_zero()]
     if commuting_pairs:
         verdict("gamma_commutation",
-                all(_commutation_holds(eye, gamma_rows, i, j) for i, j in commuting_pairs))
+                all(_commutation_holds(eye, gamma_p, i, j) for i, j in commuting_pairs))
     else:
         add(CheckResult("gamma_commutation", "skipped",
                         "no vertex pair with vanishing form entry"))
 
     if acyclic:
         numbering = admissible_numbering(quiver)
-        product = _word(eye, gamma_rows, *numbering)
-        verdict("gamma_coxeter_vs_cartan", product == phi_cartan.rows)
+        product = _word(eye, gamma_p, *numbering)
+        verdict("gamma_coxeter_vs_cartan", product == phi_cartan)
         alt = admissible_numbering(quiver, prefer_largest=True)
         if alt == numbering:
             add(CheckResult("gamma_numbering_independence", "skipped",
                             "only one admissible numbering available"))
         else:
-            alt_product = _word(eye, gamma_rows, *alt)
-            verdict("gamma_numbering_independence", alt_product == product)
+            verdict("gamma_numbering_independence", _word(eye, gamma_p, *alt) == product)
     else:
         for name in ("gamma_coxeter_vs_cartan", "gamma_numbering_independence"):
             add(CheckResult(name, "skipped", "requires an acyclic quiver"))
 
-    # Phi v is the combination of Phi's columns that v names
-    phi_columns = phi_cartan.transpose().rows
-    duality_ok = True
-    for i in range(n):
-        projective = dim_vector(bq, "projective", i, cartan=cartan)
-        injective = dim_vector(bq, "injective", i, cartan=cartan)
-        image = row_combination(injective, phi_columns)
-        duality_ok = duality_ok and all((a + b).is_zero()
-                                        for a, b in zip(projective, image))
-    verdict("projective_injective_duality", duality_ok,
+    # Phi v is the combination of Phi's columns that v names.  The
+    # projective and injective vectors (dim_vector) are C's rows and columns.
+    verdict("projective_injective_duality",
+            all(not any(a + b for a, b in zip(projective,
+                                              packed_combination(injective, phi_columns)))
+                for projective, injective in zip(cartan_p, zip(*cartan_p))),
             "projective vector differs from -Phi * injective vector")
 
     rng = random.Random(seed)
     euler_ok = True
     for _ in range(samples):
-        x = poly_vector(rng.randint(-5, 5) for _ in range(n))
-        y = poly_vector(rng.randint(-5, 5) for _ in range(n))
-        phi_y = row_combination(y, phi_columns)
-        direct = _bilinear(x, inverse.rows, y)
-        swapped = _bilinear(phi_y, inverse.rows, x)
-        rotated = _bilinear(row_combination(x, phi_columns), inverse.rows, phi_y)
+        # an int packs to itself
+        x = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
+        y = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
+        phi_y = packed_combination(y, phi_columns)
+        direct = _bilinear(x, inverse_p, y)
+        swapped = _bilinear(phi_y, inverse_p, x)
+        rotated = _bilinear(packed_combination(x, phi_columns), inverse_p, phi_y)
         euler_ok = euler_ok and direct == -swapped and direct == rotated
     verdict("euler_form_coxeter", euler_ok)
 

@@ -11,9 +11,8 @@ immutable row tuples of polynomials.
 Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B) over
 the nonzero a_ik only (``row_combination``), so products with the
 near-identity reflection matrices cost what their nonzero entries cost.
-A constant a_ik, the common case, copies or scales row k's coefficient
-lists.  A matrix-vector product is one such combination of the columns,
-and a dot product one combination of one-entry rows.
+A matrix-vector product is one such combination of the columns, and a
+dot product one combination of one-entry rows.
 The determinant and the unimodular inverse come from one Gauss-Jordan
 elimination over the Euclidean domain Q[q], which never forms a
 rational-function field.  Each column's pivot is a live row of least
@@ -25,11 +24,24 @@ applied without a division, so when every pivot is one of them, int input
 gives an inverse with int coefficients, which cost far less than
 ``Fraction`` ones.  Rational row reduction (``echelon``, and the rank
 built on it) is exact sparse Gauss-Jordan elimination on dict rows.
+
+A polynomial p over Z[q] packs to the integer p(2^w) (Kronecker
+substitution), and ``packed_combination`` is the row kernel on packed
+entries.  Evaluation at 2^w is a ring map, so packed sums and products
+need no bound, but comparing them does.  If every coefficient of a and b
+is at most B in absolute value and w = slot_width(B), then 2B < 2^(w-1),
+so a(2^w) == b(2^w) only when a == b (a nonzero polynomial packs to 0
+only with a coefficient of absolute value at least 2^w), and a's
+coefficients are the balanced base-2^w digits of a(2^w).  A packed value
+that merely looks small proves nothing: B must be proved from the inputs,
+as a product of ``norm`` values is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
+from math import ceil
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotUnimodular
@@ -70,9 +82,10 @@ class Polynomial:
 
     @classmethod
     def _make(cls, cs: list) -> "Polynomial":
-        # internal: cs already int/Fraction, may carry trailing zeros
-        while cs and not cs[-1]:
-            cs.pop()
+        # internal: cs already int/Fraction, may carry trailing zeros; compress
+        # finds the last nonzero entry without a Python-level loop
+        if cs and not cs[-1]:
+            del cs[len(cs) - next(compress(count(), reversed(cs)), len(cs)):]
         p = object.__new__(cls)
         p.coeffs = tuple(cs)
         return p
@@ -182,7 +195,8 @@ class Polynomial:
 
     def to_coeff_strings(self) -> list[str]:
         """Serialize as ascending coefficient strings, e.g. 1+2q^2 -> ["1","0","2"]."""
-        return [str(c) if isinstance(c, int) else format_rational(c) for c in self.coeffs]
+        # str writes an int or a Fraction as format_rational does
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_coeff_strings(cls, items: Sequence[str]) -> "Polynomial":
@@ -238,36 +252,18 @@ def row_combination(coeffs: Sequence[Polynomial],
 
     Only the rows with a nonzero coefficient are read, and only their
     nonzero entries are multiplied, so a row of a near-identity matrix costs
-    as much as the rows it names.  A single coefficient 1 returns its row
-    unchanged; a constant coefficient copies or scales the entries'
-    coefficient lists.
+    as much as the rows it names.
     """
-    terms = [(k, c.coeffs) for k, c in enumerate(coeffs) if c.coeffs]
-    if len(terms) == 1 and terms[0][1] == (1,):
-        return tuple(rows[terms[0][0]])
     acc: list = [None] * len(rows[0])
-    for k, ac in terms:
-        if len(ac) == 1:
-            a = ac[0]
-            for j, entry in enumerate(rows[k]):
-                bc = entry.coeffs
-                if not bc:
-                    continue
-                cur = acc[j]
-                if cur is None:
-                    acc[j] = list(bc) if a == 1 else [a * cb for cb in bc]
-                    continue
-                if len(cur) < len(bc):
-                    cur.extend([0] * (len(bc) - len(cur)))
-                for m, cb in enumerate(bc):
-                    cur[m] += a * cb
+    for ac, row in zip(coeffs, rows):
+        nonzero = [(i, ac.coeffs[i]) for i in compress(count(), ac.coeffs)]
+        if not nonzero:
             continue
-        nonzero = [(i, ca) for i, ca in enumerate(ac) if ca]
-        for j, entry in enumerate(rows[k]):
+        for j, entry in enumerate(row):
             bc = entry.coeffs
             if not bc:
                 continue
-            need = len(ac) + len(bc) - 1
+            need = len(ac.coeffs) + len(bc) - 1
             cur = acc[j]
             if cur is None:
                 cur = acc[j] = [0] * need
@@ -278,6 +274,41 @@ def row_combination(coeffs: Sequence[Polynomial],
                     if cb:
                         cur[m] += ca * cb
     return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
+
+
+def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
+    """The largest sum of |coefficient| over one row's entries, at least 1.
+
+    It bounds every coefficient, and norm(A*B) <= norm(A) * norm(B), as
+    |a*b|_1 <= |a|_1 |b|_1 for the sums |.|_1 of |coefficient|."""
+    return max(1, ceil(max(sum(sum(map(abs, p.coeffs)) for p in row) for row in rows)))
+
+
+def slot_width(bound: int) -> int:
+    """Slot width w for packed values whose coefficients are at most bound
+    in absolute value: bound.bit_length() + 2, so that 2 * bound < 2^(w-1)."""
+    return bound.bit_length() + 2
+
+
+def pack(p: Polynomial, w: int) -> int:
+    """p(2^w), for p with integer coefficients (ints or Fractions)."""
+    cs = p.coeffs
+    v = 0
+    for i in compress(count(), cs):
+        if cs[i].denominator != 1:
+            raise ValueError(f"cannot pack {p}: a coefficient is not an integer")
+        v += cs[i].numerator << (w * i)
+    return v
+
+
+def packed_combination(coeffs: Sequence[int], rows: Sequence[list[int]]) -> list[int]:
+    """The row sum of coeffs[k] * rows[k] over k, on packed entries; only the
+    rows with a nonzero coefficient are read."""
+    acc = None
+    for a, row in zip(coeffs, rows):
+        if a:
+            acc = [a * x for x in row] if acc is None else [s + a * x for s, x in zip(acc, row)]
+    return [0] * len(rows[0]) if acc is None else acc
 
 
 class PolyMatrix:
@@ -435,7 +466,7 @@ class PolyMatrix:
                 prow = [(j, p) for j, p in enumerate(m[piv]) if p.coeffs]
                 for r in live:
                     if r != piv:
-                        _subtract(m[r], _quotient(m[r][col], pivot), prow)
+                        _submul(m[r], _quotient(m[r][col], pivot), prow)
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
                 det = -det
@@ -453,7 +484,7 @@ class PolyMatrix:
             prow = [(j, p) for j, p in enumerate(m[col]) if p.coeffs]
             for r in range(n) if invert else range(col + 1, n):
                 if r != col and m[r][col].coeffs:
-                    _subtract(m[r], m[r][col], prow)
+                    _submul(m[r], m[r][col], prow)
         return det, PolyMatrix._make([row[n:] for row in m]) if invert else None
 
     def specialize(self, q0) -> list[list[Fraction]]:
@@ -488,10 +519,18 @@ class PolyMatrix:
             raise ValueError(f"matrix orders differ: {self.n} vs {other.n}")
 
 
-def _subtract(row: list, f: Polynomial, prow: Sequence[tuple[int, Polynomial]]) -> None:
-    # row -= f * (the row whose nonzero entries prow lists)
+def _submul(row: list, f: Polynomial, prow: Sequence[tuple[int, Polynomial]]) -> None:
+    # row -= f * (the row whose nonzero entries prow lists), fused: each
+    # updated entry gets one new coefficient list
+    fc = [(i, f.coeffs[i]) for i in compress(count(), f.coeffs)]
     for j, p in prow:
-        row[j] = row[j] - f * p
+        pc = p.coeffs
+        cs = list(row[j].coeffs)
+        cs.extend([0] * (len(f.coeffs) + len(pc) - 1 - len(cs)))
+        for i, a in fc:
+            for m in compress(count(), pc):
+                cs[i + m] -= a * pc[m]
+        row[j] = Polynomial._make(cs)
 
 
 def _quotient(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -406,3 +406,20 @@ def classical_cartan_by_path_counts(quiver):
     for v in range(n):
         walk(v, v)
     return [[Fraction(c) for c in row] for row in counts]
+
+
+def unpack(v: int, w: int) -> Polynomial:
+    """The polynomial with coefficients in [-2^(w-1), 2^(w-1)) whose value at
+    q = 2^w is v: the balanced base-2^w digits of v, by divmod.  Width 1
+    leaves the digits -1 and 0 only, which cannot write a positive v."""
+    if w < 2:
+        raise ValueError(f"slot width {w} is below 2")
+    base = 1 << w
+    cs = []
+    while v:
+        d = v % base
+        if d >= base // 2:
+            d -= base
+        cs.append(d)
+        v = (v - d) // base
+    return Polynomial(cs)

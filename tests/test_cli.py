@@ -219,6 +219,14 @@ def test_forms_symmetric(qv, capsys):
     assert out.strip() == "-q"
 
 
+def test_form_vectors_keep_integral_entries_int():
+    from fractions import Fraction
+    from qcox.cli import _parse_vector
+    values = _parse_vector("1, -4/2,3/2, 0", 4)
+    assert values == [1, -2, Fraction(3, 2), 0]
+    assert [type(v) for v in values] == [int, int, Fraction, int]
+
+
 def test_forms_bad_vector_exit_2(qv, capsys):
     path = qv("dc.qv", DOUBLE_CHAIN_TEXT)
     code, _, err = run_cli(capsys, "forms", path, "--x=1,0", "--y=1,0,0")

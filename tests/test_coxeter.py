@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcox.algebra import cartan_matrix
-from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds,
+from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
                           _double_gram_rows, _form_invariant, _involution_holds,
+                          _pack_rows, _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
                           sigma_reflect, symmetric_euler_form,
                           symmetric_form_matrix, verify_identities)
 from qcox.errors import LoopAtVertex, NotAcyclic, NotUnimodular
-from qcox.polyring import ONE, Polynomial, PolyMatrix
+from qcox.polyring import ONE, Polynomial, PolyMatrix, pack
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
@@ -506,15 +507,22 @@ def test_gamma_lemma_conditions_random():
 
 # --- row-local identity checks against the full matrices -----------------------------
 
-_coeff = st.one_of(st.integers(-2, 2), st.just(Fraction(1, 2)))
+_coeff = st.integers(-2, 2)
 _poly = st.lists(_coeff, max_size=3).map(Polynomial)
+# Each row below, and each row of the matrices M, has a |coefficient| sum of
+# at most 40 (at most 5 entries, each at most 2q plus two perturbations of at
+# most 3 coefficients in [-2, 2]).  So every word of at most three letters,
+# the braid factor times two rows, s^T (2G) s, s M s^T and s M s have
+# coefficients far below 2^29: packed values at width 32 compare as their
+# polynomials do.
+W = 32
 
 
 @st.composite
 def reflection_rows(draw):
     """(n, edge counts, rows): rows[v] is row v of the graph reflection at v
     for a random loop-free multigraph, some of them perturbed or replaced by
-    an arbitrary row, so that the identities both hold and fail."""
+    an arbitrary row over Z[q], so that the identities both hold and fail."""
     n = draw(st.integers(2, 5))
     counts = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -531,6 +539,10 @@ def reflection_rows(draw):
     return n, counts, [tuple(row) for row in rows]
 
 
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _full(n, rows, v):
     full = list(PolyMatrix.identity(n).rows)
     full[v] = rows[v]
@@ -543,25 +555,75 @@ def test_row_local_checks_match_full_matrix_identities(case, data):
     n, counts, rows = case
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
-    eye = PolyMatrix.identity(n).rows
+    eye, packed = _eye(n), _pack_rows(rows, W)
     si, sj = _full(n, rows, i), _full(n, rows, j)
-    assert _involution_holds(eye, rows, i) == naive_matmul(si, si).is_identity()
-    assert _commutation_holds(eye, rows, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
+    assert _involution_holds(eye, packed, i) == naive_matmul(si, si).is_identity()
+    assert _commutation_holds(eye, packed, i, j) == \
+        (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
     left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
-    assert _braid_holds(eye, rows, i, j, factor) == (left == (si - sj).scaled(factor))
+    assert _braid_holds(eye, packed, i, j, pack(factor, W)) == \
+        (left == (si - sj).scaled(factor))
     gram = PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2)) for b in range(n)]
                        for a in range(n)])
     invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
-    assert _form_invariant(eye, gram.rows, i, rows[i]) == invariant
-    # the verifier checks the same identity on 2G, whose coefficients are ints
+    # the verifier checks the identity on 2G, whose coefficients are ints
     multigraph = Quiver(tuple(str(v) for v in range(n)),
                         tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
                               for b in range(a + 1, n) for k in range(counts[a][b])))
     gram2 = _double_gram_rows(multigraph)
     assert gram2 == gram_matrix(multigraph).scaled(2).rows == gram.scaled(2).rows
     assert all(type(c) is int for row in gram2 for e in row for c in e.coeffs)
-    assert _form_invariant(eye, gram2, i, rows[i]) == invariant
+    assert _form_invariant(eye, _pack_rows(gram2, W), i, packed[i]) == invariant
+
+
+@settings(max_examples=100, deadline=None)
+@given(reflection_rows(), st.data())
+def test_sink_conjugates_match_full_matrix_products(case, data):
+    n, _, rows = case
+    v = data.draw(st.integers(0, n - 1))
+    m = PolyMatrix(data.draw(st.lists(st.lists(_poly, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+    s = _full(n, rows, v)
+    packed_m, row = _pack_rows(m.rows, W), _pack_rows(rows, W)[v]
+    assert _congruent(packed_m, v, row) == \
+        _pack_rows(naive_matmul(naive_matmul(s, m), s.transpose()).rows, W)
+    assert _two_sided(_eye(n), packed_m, v, row) == \
+        _pack_rows(naive_matmul(naive_matmul(s, m), s).rows, W)
+
+
+def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
+    import qcox.coxeter as coxeter_module
+    from qcox.coxeter import _gamma_row, _graph_row, _reflection_product
+    from qcox.polyring import slot_width
+    from test_cli_golden import golden_quivers
+    bounds = []
+    monkeypatch.setattr(coxeter_module, "slot_width", lambda b: bounds.append(b) or slot_width(b))
+
+    def largest(rows):
+        return max(abs(c) for row in rows for e in row for c in e.coeffs)
+
+    for quiver in golden_quivers().values():
+        bq = BoundQuiver(quiver)
+        assert verify_identities(bq).passed
+        (bound,) = bounds    # one width per call
+        bounds.clear()
+        n, counts = quiver.n, quiver.edge_counts()
+        c = cartan_matrix(bq)
+        inverse = c.inverse_unimodular()
+        form = symmetric_form_matrix(c, inverse)
+        eye = PolyMatrix.identity(n).rows
+        seen = largest(naive_matmul(c.transpose(), -inverse).rows)
+        for refl in ([_graph_row(quiver, counts, v) for v in range(n)],
+                     [_gamma_row(form, v) for v in range(n)]):
+            words = [admissible_numbering(quiver), admissible_numbering(quiver, True)]
+            words += [w for i in range(n) for j in range(n) for w in ((i, j), (i, j, i))]
+            for word in words:
+                seen = max(seen, largest(_reflection_product(word, refl.__getitem__, eye)))
+        assert seen <= bound
+        # the proved bound is far above the true coefficients, yet the width
+        # stays at most 64 bits on these inputs
+        assert slot_width(bound) <= 64
 
 
 @pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),

@@ -9,11 +9,12 @@ from qcox import polyring
 from qcox.algebra import cartan_matrix
 from qcox.errors import NotUnimodular, QcoxError
 from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quotient,
-                           echelon, format_rational, parse_rational, rank_rational)
+                           echelon, format_rational, norm, pack, packed_combination,
+                           parse_rational, rank_rational, slot_width)
 
 from oracles import (det_permutation_sum, gauss_pivot_columns, gauss_rank, koszul_inverse,
                      naive_matmul, naive_sink_order, random_cyclic_bound_quiver,
-                     random_quadratic_monomial_quiver)
+                     random_quadratic_monomial_quiver, unpack)
 
 
 def P(*coeffs):
@@ -229,6 +230,80 @@ def test_sparse_product_matches_triple_loop(pair):
     assert a * b == expected
     for j in range(a.n):
         assert a.mul_vector(b.column(j)) == expected.column(j)
+
+
+# --- packed Z[q] ------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(st.integers(2, 70), st.data())
+def test_pack_round_trip_up_to_the_slot_limits(w, data):
+    top = (1 << (w - 1)) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    p = Polynomial(data.draw(st.lists(coeff, max_size=8)))
+    assert unpack(pack(p, w), w) == p
+    # a Fraction with denominator 1 packs as its integer
+    assert pack(Polynomial([Fraction(c) for c in p.coeffs]), w) == pack(p, w)
+
+
+def test_pack_rejects_a_non_integral_coefficient():
+    with pytest.raises(ValueError):
+        pack(P(1, Fraction(1, 2)), 8)
+
+
+int_poly_st = st.lists(st.integers(-50, 50), max_size=4).map(Polynomial)
+
+
+@st.composite
+def int_matrix_pairs(draw):
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(int_poly_st, min_size=n, max_size=n), min_size=n, max_size=n)
+    return M(draw(rows)), M(draw(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrix_pairs())
+def test_packed_products_match_the_triple_loop(pair):
+    a, b = pair
+    # norm is submultiplicative, so norm(a) * norm(b) bounds the product
+    w = slot_width(norm(a.rows) * norm(b.rows))
+    packed_b = [[pack(p, w) for p in row] for row in b.rows]
+    product = [packed_combination([pack(p, w) for p in row], packed_b) for row in a.rows]
+    assert [[unpack(v, w) for v in row] for row in product] == \
+        [list(row) for row in naive_matmul(a, b).rows]
+    x, y = a.entry(0, 0), b.entry(0, 0)
+    assert pack(x, w) * pack(y, w) - pack(x, w) == pack(x * y - x, w)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 10 ** 6), st.data())
+def test_packed_equality_is_polynomial_equality_under_the_bound(bound, data):
+    coeff = st.integers(-bound, bound)
+    a = Polynomial(data.draw(st.lists(coeff, max_size=5)))
+    b = data.draw(st.one_of(st.just(a), st.lists(coeff, max_size=5).map(Polynomial)))
+    w = slot_width(bound)
+    assert (pack(a, w) == pack(b, w)) == (a == b)
+    assert (pack(a, w) == 0) == a.is_zero()
+
+
+def test_carries_collide_only_below_the_chosen_width():
+    for w in range(2, 64):
+        # q and the constant 2^w both pack to 2^w at width w
+        big = P(1 << w)
+        assert pack(Q, w) == pack(big, w)
+        chosen = slot_width(1 << w)
+        assert chosen > w and pack(Q, chosen) != pack(big, chosen)
+        # coefficients of absolute value at most B = 2^(w-1) collide at
+        # w = B.bit_length(): 2^(w-1) and q - 2^(w-1)
+        half = 1 << (w - 1)
+        a, b = P(half), P(-half, 1)
+        assert a != b and pack(a, w) == pack(b, w)
+        assert slot_width(half) == w + 2 and pack(a, w + 2) != pack(b, w + 2)
+
+
+def test_norm_is_the_largest_row_sum_of_absolute_coefficients():
+    assert norm([[P(1, -2), P(0, 0, 3)], [P(-1), ZERO]]) == 6
+    assert norm([[ZERO, ZERO]]) == 1
+    assert norm([[P(Fraction(3), -1)]]) == 4
 
 
 def test_mul_vector_and_scaled():

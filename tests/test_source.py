@@ -1,6 +1,7 @@
 """Rules on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import qcox
@@ -8,11 +9,33 @@ import qcox
 SOURCES = sorted(Path(qcox.__file__).parent.glob("*.py"))
 
 
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so none may guard correctness
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for node in _nodes(path)
              if isinstance(node, ast.Assert)]
+    assert SOURCES
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # qcox has no runtime dependency: every import names a standard library
+    # module or qcox itself (a relative import)
+    found = []
+    for path in SOURCES:
+        for node in _nodes(path):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"qcox"}]
     assert SOURCES
     assert found == []
