@@ -19,11 +19,17 @@ independent (source, target) blocks, each reduced exactly by
 the others are the normal words of degree d.  Work per degree is bounded
 by dim A_{d-1} times the number of arrows, not by the number of paths.
 
+Without relations every path is a normal word, so dim e_i A_d e_j is
+the number of paths of length d from i to j, counted one arrow at a time
+on the nonzero (source, target) cells: a degree costs those cells times
+their out-degree, not its number of paths.
+
 Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
 later degree vanishes too.  If no such degree exists below the cap,
 DegreeCapExceeded is raised; a degree whose basis would grow past
-``max_dim`` raises DimensionBudgetExceeded.
+``max_dim`` raises DimensionBudgetExceeded.  Both branches raise at the
+same degree.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
-from .polyring import Polynomial, PolyMatrix, echelon
+from .polyring import ZERO, Polynomial, PolyMatrix, echelon
 # the benchmark's span tracer wraps rank_rational as an attribute of this module
 from .polyring import rank_rational  # noqa: F401
 from .quiverdsl import BoundQuiver, Path, Quiver
@@ -53,9 +59,6 @@ class GradedDimTable:
 
     def dim(self, i: int, j: int, degree: int) -> int:
         return self.dims.get((i, j, degree), 0)
-
-    def total_at(self, degree: int) -> int:
-        return sum(v for (_, _, d), v in self.dims.items() if d == degree)
 
     def to_json_obj(self, vertex_names: Sequence[str] | None = None) -> dict:
         def label(v: int):
@@ -123,13 +126,41 @@ class _Degree:
 
 def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                 max_dim: int = DEFAULT_MAX_DIM) -> GradedDimTable:
-    """Graded dimension table of the quotient algebra, computed degreewise
-    from normal words (see the module docstring)."""
-    quiver = bq.quiver
+    """Graded dimension table of the quotient algebra, by path counts without
+    relations and from normal words with them (see the module docstring)."""
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")
     if max_dim < 1:
         raise ValueError("max_dim must be positive")
+    if not bq.relations:
+        return _path_count_dims(bq.quiver, degree_cap, max_dim)
+    return _normal_word_dims(bq, degree_cap, max_dim)
+
+
+def _path_count_dims(quiver: Quiver, degree_cap: int, max_dim: int) -> GradedDimTable:
+    """Graded dims of the path algebra: cells[i, j] counts the paths of the
+    current degree from i to j, for the nonzero counts only."""
+    n = quiver.n
+    steps = [[(u, m) for u, m in enumerate(row) if m] for row in quiver.arrow_counts()]
+    cells = {(v, v): 1 for v in range(n)}
+    dims = {(v, v, 0): 1 for v in range(n)}
+    for degree in range(1, degree_cap + 1):
+        last, cells = cells, {}
+        for (i, t), c in last.items():
+            for u, m in steps[t]:
+                cells[i, u] = cells.get((i, u), 0) + c * m
+        total = sum(cells.values())
+        if total > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        if not total:
+            return GradedDimTable(n, degree, dims)
+        dims.update(((i, j, degree), c) for (i, j), c in cells.items())
+    raise DegreeCapExceeded(degree_cap)
+
+
+def _normal_word_dims(bq: BoundQuiver, degree_cap: int, max_dim: int) -> GradedDimTable:
+    """Graded dims of the quotient from normal words and reduction maps."""
+    quiver = bq.quiver
     n = quiver.n
     out = _out_arrows(quiver)
     step = [0] * len(quiver.arrows)
@@ -228,7 +259,8 @@ def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         if len(cs) <= d:
             cs.extend([0] * (d + 1 - len(cs)))
         cs[d] = value
-    return PolyMatrix._make([[Polynomial._make(cs) for cs in row] for row in coeffs])
+    return PolyMatrix._make([[Polynomial._make(cs) if cs else ZERO for cs in row]
+                             for row in coeffs])
 
 
 KINDS = ("simple", "projective", "injective")

@@ -75,10 +75,20 @@ def render_matrix(m: PolyMatrix, fmt: str, at_q: Fraction | None) -> str:
                   for v in row] for row in values]
     else:
         if fmt == "json":
-            return _dumps(m.to_json_obj())
+            # json_text({"n": ..., "entries": ...}) written straight from the
+            # coefficients: str of an int or a Fraction needs no escaping
+            rows = (",\n      ".join(map(_entry_json, row)) for row in m.rows)
+            return ('{\n  "n": ' + str(m.n) + ',\n  "entries": [\n    [\n      '
+                    + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}")
         cells = [[poly_latex(e) if fmt == "latex" else str(e) for e in row]
                  for row in m.rows]
     return _matrix_latex(cells) if fmt == "latex" else _grid_plain(cells)
+
+
+def _entry_json(p: Polynomial) -> str:
+    if not p.coeffs:
+        return "[]"
+    return '[\n        "' + '",\n        "'.join(map(str, p.coeffs)) + '"\n      ]'
 
 
 def render_vector(entries, fmt: str, at_q: Fraction | None, label: str = "") -> str:

@@ -219,7 +219,8 @@ def symmetric_form_matrix(cartan: PolyMatrix,
 
 
 def _gamma_row(form_matrix: PolyMatrix, i: int) -> tuple[Polynomial, ...]:
-    return tuple(ONE - a if j == i else -a for j, a in enumerate(form_matrix.rows[i]))
+    return tuple(ONE - a if j == i else -a if a.coeffs else ZERO
+                 for j, a in enumerate(form_matrix.rows[i]))
 
 
 def gamma_reflection(cartan: PolyMatrix, i: int,

@@ -389,23 +389,9 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])
 
-    def permuted(self, order: Sequence[int]) -> "PolyMatrix":
-        """Reindex rows and columns: entry'(a, b) = entry(order[a], order[b])."""
-        if sorted(order) != list(range(self.n)):
-            raise ValueError("order must be a permutation of the indices")
-        return PolyMatrix._make([[self.rows[i][j] for j in order] for i in order])
-
     def is_identity(self) -> bool:
         return all(e == (_ONE if i == j else _ZERO)
                    for i, row in enumerate(self.rows) for j, e in enumerate(row))
-
-    def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.n) for j in range(i))
-
-    def is_lower_unitriangular(self) -> bool:
-        return all(self.rows[i][i] == _ONE for i in range(self.n)) and \
-            all(self.rows[i][j].is_zero() for i in range(self.n) for j in range(i + 1, self.n))
 
     def det(self) -> Polynomial:
         """Determinant, by the elimination that also inverts (``_eliminate``)."""
@@ -491,10 +477,6 @@ class PolyMatrix:
         """Entrywise exact evaluation at q = q0."""
         q0 = Fraction(q0)
         return [[e.evaluate(q0) for e in row] for row in self.rows]
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n,
-                "entries": [[e.to_coeff_strings() for e in row] for row in self.rows]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMatrix":

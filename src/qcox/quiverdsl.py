@@ -115,10 +115,6 @@ class Quiver:
         b = self.arrow_counts()
         return [[b[i][j] + b[j][i] for j in range(self.n)] for i in range(self.n)]
 
-    def neighbours(self, i: int) -> list[int]:
-        a = self.edge_counts()
-        return [j for j in range(self.n) if j != i and a[i][j]]
-
     def loops(self) -> list[Arrow]:
         return [a for a in self.arrows if a.source == a.target]
 

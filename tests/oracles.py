@@ -423,3 +423,38 @@ def unpack(v: int, w: int) -> Polynomial:
         cs.append(d)
         v = (v - d) // base
     return Polynomial(cs)
+
+
+# --- test-only views of library objects -------------------------------------
+
+def matrix_json_obj(m: PolyMatrix) -> dict:
+    """The object whose ``json.dumps(obj, indent=2)`` ``cli.render_matrix``
+    writes for a matrix without ``--at-q``."""
+    return {"n": m.n, "entries": [[e.to_coeff_strings() for e in row] for row in m.rows]}
+
+
+def permuted(m: PolyMatrix, order) -> PolyMatrix:
+    """Reindex rows and columns: entry'(a, b) = entry(order[a], order[b])."""
+    if sorted(order) != list(range(m.n)):
+        raise ValueError("order must be a permutation of the indices")
+    return PolyMatrix([[m.rows[i][j] for j in order] for i in order])
+
+
+def is_symmetric(m: PolyMatrix) -> bool:
+    return all(m.rows[i][j] == m.rows[j][i] for i in range(m.n) for j in range(i))
+
+
+def is_lower_unitriangular(m: PolyMatrix) -> bool:
+    return all(m.rows[i][i] == 1 for i in range(m.n)) and \
+        all(m.rows[i][j].is_zero() for i in range(m.n) for j in range(i + 1, m.n))
+
+
+def total_at(table, degree: int) -> int:
+    """Total dimension of one degree of a graded dimension table."""
+    return sum(v for (_, _, d), v in table.dims.items() if d == degree)
+
+
+def neighbours(quiver, i: int) -> list[int]:
+    """Vertices other than i joined to i by an arrow in either direction."""
+    a = quiver.edge_counts()
+    return [j for j in range(quiver.n) if j != i and a[i][j]]

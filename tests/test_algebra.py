@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from qcox.algebra import (DEFAULT_MAX_DIM, cartan_matrix, cartan_det_check,
-                          dim_vector, enumerate_paths, graded_dims)
+from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, cartan_matrix,
+                          cartan_det_check, dim_vector, enumerate_paths, graded_dims)
 from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded
 from qcox.polyring import Polynomial, PolyMatrix
-from qcox.quiverdsl import parse_quiver
+from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (classical_cartan_by_path_counts, det_permutation_sum, exterior,
                      exterior_dims, naive_degree_dims, naive_graded_dims, preprojective,
-                     preprojective_dims, random_cyclic_bound_quiver, truncated,
+                     preprojective_dims, random_cyclic_bound_quiver, total_at, truncated,
                      truncated_dims)
 
 
@@ -87,7 +87,7 @@ def test_graded_dims_three_cycle(three_cycle):
                      (0, 0, 2): 1, (1, 1, 2): 1, (2, 2, 2): 1})
     assert dict(table.dims) == expected
     assert table.dim(0, 2, 2) == 0
-    assert table.total_at(3) == 0
+    assert total_at(table, 3) == 0
 
 
 def test_graded_dims_single_vertex():
@@ -283,3 +283,73 @@ def test_dimension_budget_admits_two_arrow_chains():
     with pytest.raises(DimensionBudgetExceeded):
         graded_dims(chain, max_dim=2 ** (n - 1) - 1)
     assert DEFAULT_MAX_DIM >= 2 ** 19      # admits the 2-arrow chain A20
+
+
+# --- relation-free quivers: path counts ---------------------------------------
+
+def _relation_free(rng, cyclic):
+    """Relation-free quiver on 1-5 vertices, often with parallel arrows.
+    Acyclic ones have arrows i -> j with i < j only; cyclic ones may have
+    any arrow and always close a cycle, which may be a loop."""
+    n = rng.randint(1, 5)
+    pairs = []
+    for _ in range(rng.randint(0, 7)):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if not cyclic:
+            if s == t:
+                continue
+            s, t = min(s, t), max(s, t)
+        pairs += [(s, t)] * rng.choice((1, 1, 2))
+    if cyclic:
+        s, t = rng.randrange(n), rng.randrange(n)
+        pairs += [(s, t), (t, s)]
+    arrows = tuple(Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(pairs))
+    return BoundQuiver(Quiver(tuple(str(v) for v in range(n)), arrows))
+
+
+def _outcome(dims_of, bq, degree_cap, max_dim):
+    try:
+        table = dims_of(bq, degree_cap, max_dim)
+    except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
+        return type(exc), str(exc), getattr(exc, "degree", None)
+    return dict(table.dims), table.max_degree
+
+
+def test_path_counts_match_naive_oracle_and_enumerated_paths():
+    rng = random.Random(53)
+    for _ in range(40):
+        bq = _relation_free(rng, cyclic=False)
+        table = graded_dims(bq)
+        oracle_dims, oracle_stop = naive_graded_dims(bq)
+        assert dict(table.dims) == oracle_dims
+        assert table.max_degree == oracle_stop
+        assert table == _normal_word_dims(bq, 64, DEFAULT_MAX_DIM)
+        n = bq.quiver.n
+        for d in range(table.max_degree + 1):
+            for i in range(n):
+                for j in range(n):
+                    assert table.dim(i, j, d) == len(enumerate_paths(bq.quiver, i, j, d))
+
+
+def test_path_counts_raise_like_normal_words():
+    # same table, or the same exception at the same degree with the same
+    # message, under small caps and budgets; cyclic quivers never terminate
+    rng = random.Random(59)
+    seen = set()
+    for k in range(300):
+        bq = _relation_free(rng, cyclic=k % 2 == 1)
+        degree_cap = rng.randint(2, 7)
+        max_dim = rng.choice((1, 2, 3, 5, 8, 20, 60, 10 ** 6))
+        outcome = _outcome(graded_dims, bq, degree_cap, max_dim)
+        assert outcome == _outcome(_normal_word_dims, bq, degree_cap, max_dim)
+        seen.add(outcome[0] if isinstance(outcome[0], type) else "table")
+    assert seen == {"table", DegreeCapExceeded, DimensionBudgetExceeded}
+
+
+def test_parallel_arrow_chain_counts_powers_of_two():
+    n = 20
+    arrows = tuple(Arrow(f"a{i}{c}", i, i + 1) for i in range(n - 1) for c in range(2))
+    table = graded_dims(BoundQuiver(Quiver(tuple(str(v) for v in range(n)), arrows)))
+    assert dict(table.dims) == {(i, j, j - i): 2 ** (j - i)
+                                for i in range(n) for j in range(i, n)}
+    assert table.max_degree == n

@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcox.algebra import cartan_matrix
-from qcox.cli import main, poly_latex
+from qcox.cli import main, poly_latex, render_matrix
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import parse_quiver
 
-from oracles import frac_inverse, frac_mul, frac_neg, frac_transpose
+from oracles import frac_inverse, frac_mul, frac_neg, frac_transpose, matrix_json_obj
 
 A3_TEXT = """
 quiver a3 {
@@ -109,6 +112,25 @@ def test_cartan_json_input(qv, capsys):
     assert code == 0
     assert PolyMatrix.from_json_obj(json.loads(out)) == \
         cartan_matrix(parse_quiver(DOUBLE_CHAIN_TEXT))
+
+
+coeff_st = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                     st.fractions(min_value=-100, max_value=100, max_denominator=64))
+entry_st = st.one_of(st.just(Polynomial([])), st.lists(coeff_st, max_size=5).map(Polynomial))
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    return PolyMatrix([[draw(entry_st) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example(PolyMatrix([[0]]))
+@example(PolyMatrix([[Polynomial([-1, Fraction(-1, 2), 0, 7])]]))
+def test_matrix_json_writer_matches_json_dumps(m):
+    assert render_matrix(m, "json", None) == json.dumps(matrix_json_obj(m), indent=2)
 
 
 def test_at_q_one_matches_classical(qv, capsys):

@@ -12,8 +12,9 @@ from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quo
                            echelon, format_rational, norm, pack, packed_combination,
                            parse_rational, rank_rational, slot_width)
 
-from oracles import (det_permutation_sum, gauss_pivot_columns, gauss_rank, koszul_inverse,
-                     naive_matmul, naive_sink_order, random_cyclic_bound_quiver,
+from oracles import (det_permutation_sum, gauss_pivot_columns, gauss_rank,
+                     is_lower_unitriangular, is_symmetric, koszul_inverse, matrix_json_obj,
+                     naive_matmul, naive_sink_order, permuted, random_cyclic_bound_quiver,
                      random_quadratic_monomial_quiver, unpack)
 
 
@@ -492,17 +493,17 @@ def test_specialize_multiplicative_random():
 
 def test_permuted_and_predicates():
     a = M([[1, Q], [0, 1]])
-    assert a.permuted([1, 0]) == M([[1, 0], [Q, 1]])
-    assert a.permuted([1, 0]).is_lower_unitriangular()
-    assert not a.is_lower_unitriangular()
-    assert M([[1, Q], [Q, 1]]).is_symmetric()
+    assert permuted(a, [1, 0]) == M([[1, 0], [Q, 1]])
+    assert is_lower_unitriangular(permuted(a, [1, 0]))
+    assert not is_lower_unitriangular(a)
+    assert is_symmetric(M([[1, Q], [Q, 1]]))
     with pytest.raises(ValueError):
-        a.permuted([0, 0])
+        permuted(a, [0, 0])
 
 
 def test_matrix_json_round_trip():
     a = M([[P(1, 0, 1), P(Fraction(1, 2))], [Q, P(-1)]])
-    assert PolyMatrix.from_json_obj(a.to_json_obj()) == a
+    assert PolyMatrix.from_json_obj(matrix_json_obj(a)) == a
 
 
 # --- rational rank ---------------------------------------------------------
