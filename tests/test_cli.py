@@ -241,6 +241,33 @@ def test_forms_symmetric(qv, capsys):
     assert out.strip() == "-q"
 
 
+@pytest.mark.parametrize("at_q, vectors", [
+    ([], [["1", ["1"], ["0", "2"]], ["2", ["0", "1"], ["1", "0", "2"]]]),
+    (["--at-q=1/2"], [["1", "1", "1"], ["2", "1/2", "3/2"]]),
+])
+def test_dims_vectors_json_stdout(qv, capsys, at_q, vectors):
+    path = qv("tv.qv", TWO_VERTEX_CYCLIC_TEXT)
+    code, out, _ = run_cli(capsys, "dims", path, "--projective", "--format=json", *at_q)
+    assert code == 0
+    payload = [{"vertex": name, "entries": entries} for name, *entries in vectors]
+    assert out == json.dumps({"kind": "projective", "vectors": payload}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("form, at_q, value", [
+    ("euler", [], ["0", "-2"]),
+    ("symmetric", [], ["0", "-1"]),
+    ("euler", ["--at-q=1/2"], "-1"),
+    ("symmetric", ["--at-q=1/2"], "-1/2"),
+])
+def test_forms_json_stdout(qv, capsys, form, at_q, value):
+    path = qv("dc.qv", DOUBLE_CHAIN_TEXT)
+    code, out, _ = run_cli(capsys, "forms", path, f"--{form}", "--x=1,0,0", "--y=0,1,0",
+                           "--format=json", *at_q)
+    assert code == 0
+    obj = {"form": form, **({"at_q": "1/2"} if at_q else {}), "value": value}
+    assert out == json.dumps(obj, indent=2) + "\n"
+
+
 def test_form_vectors_keep_integral_entries_int():
     from fractions import Fraction
     from qcox.cli import _parse_vector

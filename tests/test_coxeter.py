@@ -417,6 +417,63 @@ def idx(report: CheckReport) -> dict[str, tuple[str, str]]:
     return {c.identity: (c.status, c.reason) for c in report.checks}
 
 
+# report order: five graph identities, three relation-free Cartan ones, six
+# on the Cartan matrix of the bound quiver
+_IDENTITIES = (
+    "reflection_involution", "reflection_commutation", "reflection_braid",
+    "form_invariance", "coxeter_numbering_independence",
+    "coxeter_vs_cartan", "sink_reflection_cartan", "sink_reflection_coxeter",
+    "gamma_involution", "gamma_commutation", "gamma_coxeter_vs_cartan",
+    "gamma_numbering_independence", "projective_injective_duality",
+    "euler_form_coxeter")
+
+_PASS = ("pass", "")
+_ACYCLIC = ("skipped", "requires an acyclic quiver")
+_ONE_NUMBERING = ("skipped", "only one admissible numbering available")
+_RELATION_FREE = ("skipped", "requires a relation-free quiver")
+
+
+def _no_end(cap):
+    return ("skipped", f"graded dimensions did not terminate (no vanishing degree up to cap {cap})")
+
+
+CHAIN3 = parse_quiver("""
+quiver ch3 {
+  vertices: 1, 2, 3;
+  arrows: a: 1 -> 2; b: 2 -> 3;
+}
+""")
+
+_NOT_UNIMODULAR = ("skipped", "Cartan matrix is not unimodular "
+                              "(determinant is 1+q^2+q^4+q^6, not ±1)")
+
+_VERIFIER_OUTCOMES = [
+    ("two-cycle", parse_quiver("quiver c2 { vertices: 1, 2; arrows: u: 1 -> 2; v: 2 -> 1; }"),
+     {}, [_ACYCLIC] * 8 + [_no_end(64)] * 6),
+    ("loop", parse_quiver("quiver lp { vertices: 1, 2; arrows: x: 1 -> 1; a: 1 -> 2; }"),
+     {}, [_ACYCLIC] * 8 + [_no_end(64)] * 6),
+    ("three-cycle", THREE_CYCLE, {}, [_ACYCLIC] * 8 + [_NOT_UNIMODULAR] * 6),
+    ("double-chain", DOUBLE_CHAIN, {},
+     [_PASS] * 4 + [_ONE_NUMBERING] + [_RELATION_FREE] * 3
+     + [_PASS, ("skipped", "no vertex pair with vanishing form entry"), _PASS,
+        _ONE_NUMBERING, _PASS, _PASS]),
+    ("a3", BoundQuiver(A3), {}, [_PASS] * 14),
+    ("chain", CHAIN3, {},
+     [_PASS] * 4 + [_ONE_NUMBERING] + [_PASS] * 6 + [_ONE_NUMBERING] + [_PASS] * 2),
+    ("chain-capped", CHAIN3, {"degree_cap": 2},
+     [_PASS] * 4 + [_ONE_NUMBERING] + [_no_end(2)] * 9),
+]
+
+
+@pytest.mark.parametrize("bq, limits, expected",
+                         [case[1:] for case in _VERIFIER_OUTCOMES],
+                         ids=[case[0] for case in _VERIFIER_OUTCOMES])
+def test_verify_identities_reports_every_outcome_in_order(bq, limits, expected):
+    report = verify_identities(bq, **limits)
+    assert [(c.identity, c.status, c.reason) for c in report.checks] == [
+        (name, *outcome) for name, outcome in zip(_IDENTITIES, expected, strict=True)]
+
+
 def test_verify_identities_a3_all_pass():
     report = verify_identities(BoundQuiver(A3))
     statuses = idx(report)
