@@ -91,28 +91,30 @@ def _entry_json(p: Polynomial) -> str:
     return '[\n        "' + '",\n        "'.join(map(str, p.coeffs)) + '"\n      ]'
 
 
+def _poly_json(p: Polynomial, at_q: Fraction | None):
+    # JSON value of p: its coefficient strings, or its value at q = at_q
+    return p.to_coeff_strings() if at_q is None else format_rational(p.evaluate(at_q))
+
+
 def render_vector(entries, fmt: str, at_q: Fraction | None, label: str = "") -> str:
+    if fmt == "json":
+        return _dumps([_poly_json(e, at_q) for e in entries])
     if at_q is not None:
         values = [e.evaluate(at_q) for e in entries]
-        if fmt == "json":
-            return _dumps([format_rational(v) for v in values])
         body = ", ".join(_rational_latex(v) if fmt == "latex" else format_rational(v)
                          for v in values)
     else:
-        if fmt == "json":
-            return _dumps([e.to_coeff_strings() for e in entries])
         body = ", ".join(poly_latex(e) if fmt == "latex" else str(e) for e in entries)
     text = f"({body})^T" if fmt == "latex" else f"({body})"
     return f"{label}{text}" if label else text
 
 
 def render_poly(p: Polynomial, fmt: str, at_q: Fraction | None) -> str:
+    if fmt == "json":
+        return _dumps(_poly_json(p, at_q))
     if at_q is not None:
         v = p.evaluate(at_q)
-        return _dumps(format_rational(v)) if fmt == "json" else (
-            _rational_latex(v) if fmt == "latex" else format_rational(v))
-    if fmt == "json":
-        return _dumps(p.to_coeff_strings())
+        return _rational_latex(v) if fmt == "latex" else format_rational(v)
     return poly_latex(p) if fmt == "latex" else str(p)
 
 
@@ -122,7 +124,10 @@ def _dumps(obj) -> str:
 
 def _parse_vector(text: str, n: int) -> list:
     # an integral entry becomes an int, which costs far less than a Fraction
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    empty = next((k for k, p in enumerate(parts, 1) if not p.strip()), None)
+    if empty is not None:
+        raise ValueError(f"vector {text!r} has an empty entry at position {empty}")
     if len(parts) != n:
         raise ValueError(f"vector needs {n} comma-separated entries, got {len(parts)}")
     values = [parse_rational(p) for p in parts]
@@ -169,13 +174,8 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
         vec = algebra.dim_vector(bq, kind, v, cartan=cartan)
         rows.append((bq.quiver.vertices[v], vec))
     if args.format == "json":
-        if args.at_q is not None:
-            payload = [{"vertex": name,
-                        "entries": [format_rational(e.evaluate(args.at_q)) for e in vec]}
-                       for name, vec in rows]
-        else:
-            payload = [{"vertex": name, "entries": [e.to_coeff_strings() for e in vec]}
-                       for name, vec in rows]
+        payload = [{"vertex": name, "entries": [_poly_json(e, args.at_q) for e in vec]}
+                   for name, vec in rows]
         print(_dumps({"kind": kind, "vectors": payload}))
     else:
         tag = kind[0].upper()
@@ -195,11 +195,8 @@ def _cmd_forms(args, bq: BoundQuiver) -> int:
         value = coxeter.euler_form(cartan, x, y)
         name = "euler"
     if args.format == "json":
-        if args.at_q is not None:
-            print(_dumps({"form": name, "at_q": format_rational(args.at_q),
-                          "value": format_rational(value.evaluate(args.at_q))}))
-        else:
-            print(_dumps({"form": name, "value": value.to_coeff_strings()}))
+        at = {} if args.at_q is None else {"at_q": format_rational(args.at_q)}
+        print(_dumps({"form": name, **at, "value": _poly_json(value, args.at_q)}))
     else:
         print(render_poly(value, args.format, args.at_q))
     return 0

@@ -18,11 +18,19 @@ A reflection differs from the identity only in its own row, so such a
 product is built one row update per reflection, never as a matrix product.
 
 ``verify_identities`` runs every identity the library promises on a given
-bound quiver and reports pass/fail/skipped per identity, skipping the ones
-whose hypotheses the input does not meet.  Identities between reflections,
-and the sink checks s C s^T and s Phi s, are built on the shared rows of
-the identity matrix, so only the rows the reflections change are computed
-and compared.  Form invariance is checked on the integer form 2G.
+bound quiver and reports pass/fail/skipped per identity.  It computes the
+shared data once (C and C^-1, the slot width, the packed rows, Phi's
+columns, both admissible numberings, the Cartan matrices with the arrows
+at a sink reversed), then runs one loop over a table of (identity,
+hypotheses, check) entries in report order.  A hypothesis is acyclic,
+relation_free, inverse (graded dimensions terminate and C is unimodular),
+two_numberings, involutive (some diagonal entry of A is 2) or commuting
+(some off-diagonal entry of A vanishes).  A check whose hypotheses fail is
+skipped with the reason of the first failing one; otherwise it passes or
+fails.  Identities between reflections, and the sink checks s C s^T and
+s Phi s, are built on the shared rows of the identity matrix, so only the
+rows the reflections change are computed and compared.  Form invariance is
+checked on the integer form 2G.
 
 Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
@@ -402,6 +410,18 @@ def _letter_norms(rows) -> tuple[int, int]:
 _SAMPLE_MAX = 5
 
 
+def _euler_sample_holds(rng, inverse_p, phi_columns) -> bool:
+    """x^T C^-1 y == -(Phi y)^T C^-1 x == (Phi x)^T C^-1 (Phi y) for one
+    pair x, y drawn from rng; an int packs to itself."""
+    n = len(inverse_p)
+    x = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
+    y = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
+    phi_y = packed_combination(y, phi_columns)
+    direct = _bilinear(x, inverse_p, y)
+    return (direct == -_bilinear(phi_y, inverse_p, x)
+            and direct == _bilinear(packed_combination(x, phi_columns), inverse_p, phi_y))
+
+
 def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                       degree_cap: int = DEFAULT_DEGREE_CAP,
                       max_dim: int = DEFAULT_MAX_DIM) -> CheckReport:
@@ -409,51 +429,44 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     equation; inapplicable ones are reported as skipped with the reason."""
     quiver = bq.quiver
     n = quiver.n
-    results: list[CheckResult] = []
-    add = results.append
-
-    acyclic = quiver.is_acyclic()
-    loop_free = not quiver.loops()
-    relation_free = not bq.relations
     counts = quiver.edge_counts()
+    acyclic = quiver.is_acyclic()
+    # why[h] is "" when hypothesis h holds and the skip reason when it does not
+    why = {"acyclic": "" if acyclic else "requires an acyclic quiver",
+           "relation_free": "requires a relation-free quiver" if bq.relations else ""}
 
-    def verdict(name: str, ok: bool, why_fail: str = "") -> None:
-        add(CheckResult(name, "pass" if ok else "fail", "" if ok else why_fail))
-
-    # graph-level identities need an acyclic orientation without loops
-    graph_ok = acyclic and loop_free
-    graph_skip = "requires an acyclic quiver" if not acyclic else "requires a loop-free quiver"
-
-    # Cartan matrix of the bound quiver, shared by everything below
+    # Cartan matrix of the bound quiver and its inverse, shared by everything below
     try:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
-        cartan_reason = ""
+        inverse = cartan.inverse_unimodular()
+        why["inverse"] = ""
     except DegreeCapExceeded as exc:
-        cartan = None
-        cartan_reason = f"graded dimensions did not terminate ({exc})"
-    inverse = None
-    if cartan is not None:
-        try:
-            inverse = cartan.inverse_unimodular()
-        except NotUnimodular as exc:
-            cartan_reason = f"Cartan matrix is not unimodular ({exc})"
-    sink_ok = graph_ok and relation_free and inverse is not None
+        why["inverse"] = f"graded dimensions did not terminate ({exc})"
+    except NotUnimodular as exc:
+        why["inverse"] = f"Cartan matrix is not unimodular ({exc})"
+    # relation-free theorems compare graph products against the Cartan matrix
+    sink_theorems = ("acyclic", "relation_free", "inverse")
     # per sink: Cartan matrix, numbering and graph rows with its arrows reversed
     flipped = []
-    for i in quiver.sinks() if sink_ok else ():
+    for i in () if any(why[h] for h in sink_theorems) else quiver.sinks():
         f = sigma_reflect(quiver, i)
         f_counts = f.edge_counts()
         flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
                         admissible_numbering(f), [_graph_row(f, f_counts, v) for v in range(n)]))
+    first = second = ()
+    if acyclic:
+        first, second = admissible_numbering(quiver), admissible_numbering(quiver, True)
+    why["two_numberings"] = "only one admissible numbering available" if first == second else ""
 
     # one slot width for the call, from the bounds of the module docstring
     terms = [1]
-    if graph_ok:
+    if acyclic:
         graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
+        gram_rows = _double_gram_rows(quiver)
         m, p = _letter_norms(graph_rows)
         braid = 1 + max(counts[i][j] * counts[j][i] for i in range(n) for j in range(n))
-        terms.append(m * (m + 1) * max(p * braid, norm(_double_gram_rows(quiver))))
-    if inverse is not None:
+        terms.append(m * (m + 1) * max(p * braid, norm(gram_rows)))
+    if not why["inverse"]:
         form = symmetric_form_matrix(cartan, inverse)
         gamma_rows = [_gamma_row(form, i) for i in range(n)]
         gm, gp = _letter_norms(gamma_rows)
@@ -466,36 +479,12 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     w = slot_width(max(terms))
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    if graph_ok:
+    if acyclic:
         graph_p = _pack_rows(graph_rows, w)
-        verdict("reflection_involution",
-                all(_involution_holds(eye, graph_p, i) for i in range(n)))
-        verdict("reflection_commutation",
-                all(_commutation_holds(eye, graph_p, i, j)
-                    for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0))
-        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2, packed
-        verdict("reflection_braid",
-                all(_braid_holds(eye, graph_p, i, j, (counts[i][j] * counts[j][i] << 2 * w) - 1)
-                    for i in range(n) for j in range(i + 1, n) if counts[i][j]))
-        gram2 = _pack_rows(_double_gram_rows(quiver), w)
-        verdict("form_invariance",
-                all(_form_invariant(eye, gram2, i, graph_p[i]) for i in range(n)))
-        first = admissible_numbering(quiver)
-        second = admissible_numbering(quiver, prefer_largest=True)
+        gram_p = _pack_rows(gram_rows, w)
         phi_graph = _word(eye, graph_p, *first)
-        if first == second:
-            add(CheckResult("coxeter_numbering_independence", "skipped",
-                            "only one admissible numbering available"))
-        else:
-            verdict("coxeter_numbering_independence",
-                    _word(eye, graph_p, *second) == phi_graph)
-    else:
-        for name in ("reflection_involution", "reflection_commutation",
-                     "reflection_braid", "form_invariance",
-                     "coxeter_numbering_independence"):
-            add(CheckResult(name, "skipped", graph_skip))
-
-    if inverse is not None:
+    involutive = commuting = ()
+    if not why["inverse"]:
         cartan_p = _pack_rows(cartan.rows, w)
         inverse_p = _pack_rows(inverse.rows, w)
         # column j of Phi = -C^T C^-1 is the combination of C's rows that
@@ -505,85 +494,62 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         phi_columns = [packed_combination([-e for e in column], cartan_p)
                        for column in zip(*inverse_p)]
         phi_cartan = [list(row) for row in zip(*phi_columns)]
-
-    # relation-free theorems compare graph products against the Cartan matrix
-    if sink_ok:
-        verdict("coxeter_vs_cartan", phi_graph == phi_cartan)
-        verdict("sink_reflection_cartan",
-                all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
-                    for i, c, _, _ in flipped))
-        verdict("sink_reflection_coxeter",
-                all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
-                    _word(eye, _pack_rows(rows, w), *numbering)
-                    for i, _, numbering, rows in flipped))
-    else:
-        if not graph_ok:
-            reason = graph_skip
-        elif not relation_free:
-            reason = "requires a relation-free quiver"
-        else:
-            reason = cartan_reason
-        for name in ("coxeter_vs_cartan", "sink_reflection_cartan",
-                     "sink_reflection_coxeter"):
-            add(CheckResult(name, "skipped", reason))
-
-    if inverse is None:
-        for name in ("gamma_involution", "gamma_commutation",
-                     "gamma_coxeter_vs_cartan", "gamma_numbering_independence",
-                     "projective_injective_duality", "euler_form_coxeter"):
-            add(CheckResult(name, "skipped", cartan_reason))
-        return CheckReport(tuple(results))
-
-    gamma_p = _pack_rows(gamma_rows, w)
-    involutive = [i for i in range(n) if form.entry(i, i) == 2]
-    if involutive:
-        verdict("gamma_involution",
-                all(_involution_holds(eye, gamma_p, i) for i in involutive))
-    else:
-        add(CheckResult("gamma_involution", "skipped",
-                        "no vertex with diagonal form entry 2"))
-    commuting_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                       if form.entry(i, j).is_zero()]
-    if commuting_pairs:
-        verdict("gamma_commutation",
-                all(_commutation_holds(eye, gamma_p, i, j) for i, j in commuting_pairs))
-    else:
-        add(CheckResult("gamma_commutation", "skipped",
-                        "no vertex pair with vanishing form entry"))
-
-    if acyclic:
-        numbering = admissible_numbering(quiver)
-        product = _word(eye, gamma_p, *numbering)
-        verdict("gamma_coxeter_vs_cartan", product == phi_cartan)
-        alt = admissible_numbering(quiver, prefer_largest=True)
-        if alt == numbering:
-            add(CheckResult("gamma_numbering_independence", "skipped",
-                            "only one admissible numbering available"))
-        else:
-            verdict("gamma_numbering_independence", _word(eye, gamma_p, *alt) == product)
-    else:
-        for name in ("gamma_coxeter_vs_cartan", "gamma_numbering_independence"):
-            add(CheckResult(name, "skipped", "requires an acyclic quiver"))
-
-    # Phi v is the combination of Phi's columns that v names.  The
-    # projective and injective vectors (dim_vector) are C's rows and columns.
-    verdict("projective_injective_duality",
-            all(not any(a + b for a, b in zip(projective,
-                                              packed_combination(injective, phi_columns)))
-                for projective, injective in zip(cartan_p, zip(*cartan_p))),
-            "projective vector differs from -Phi * injective vector")
-
+        gamma_p = _pack_rows(gamma_rows, w)
+        gamma_first = _word(eye, gamma_p, *first) if acyclic else None
+        involutive = [i for i in range(n) if form.entry(i, i) == 2]
+        commuting = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if form.entry(i, j).is_zero()]
+    why["involutive"] = "" if involutive else "no vertex with diagonal form entry 2"
+    why["commuting"] = "" if commuting else "no vertex pair with vanishing form entry"
     rng = random.Random(seed)
-    euler_ok = True
-    for _ in range(samples):
-        # an int packs to itself
-        x = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
-        y = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
-        phi_y = packed_combination(y, phi_columns)
-        direct = _bilinear(x, inverse_p, y)
-        swapped = _bilinear(phi_y, inverse_p, x)
-        rotated = _bilinear(packed_combination(x, phi_columns), inverse_p, phi_y)
-        euler_ok = euler_ok and direct == -swapped and direct == rotated
-    verdict("euler_form_coxeter", euler_ok)
 
-    return CheckReport(tuple(results))
+    # (identity, hypotheses, check[, failure reason]) in report order; a
+    # check runs only when every hypothesis holds
+    table = (
+        ("reflection_involution", ("acyclic",),
+         lambda: all(_involution_holds(eye, graph_p, i) for i in range(n))),
+        ("reflection_commutation", ("acyclic",),
+         lambda: all(_commutation_holds(eye, graph_p, i, j)
+                     for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0)),
+        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2, packed
+        ("reflection_braid", ("acyclic",),
+         lambda: all(_braid_holds(eye, graph_p, i, j, (counts[i][j] * counts[j][i] << 2 * w) - 1)
+                     for i in range(n) for j in range(i + 1, n) if counts[i][j])),
+        ("form_invariance", ("acyclic",),
+         lambda: all(_form_invariant(eye, gram_p, i, graph_p[i]) for i in range(n))),
+        ("coxeter_numbering_independence", ("acyclic", "two_numberings"),
+         lambda: _word(eye, graph_p, *second) == phi_graph),
+        ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
+        ("sink_reflection_cartan", sink_theorems,
+         lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
+                     for i, c, _, _ in flipped)),
+        ("sink_reflection_coxeter", sink_theorems,
+         lambda: all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
+                     _word(eye, _pack_rows(rows, w), *numbering)
+                     for i, _, numbering, rows in flipped)),
+        ("gamma_involution", ("inverse", "involutive"),
+         lambda: all(_involution_holds(eye, gamma_p, i) for i in involutive)),
+        ("gamma_commutation", ("inverse", "commuting"),
+         lambda: all(_commutation_holds(eye, gamma_p, i, j) for i, j in commuting)),
+        ("gamma_coxeter_vs_cartan", ("inverse", "acyclic"), lambda: gamma_first == phi_cartan),
+        ("gamma_numbering_independence", ("inverse", "acyclic", "two_numberings"),
+         lambda: _word(eye, gamma_p, *second) == gamma_first),
+        # Phi v is the combination of Phi's columns that v names.  The
+        # projective and injective vectors (dim_vector) are C's rows and columns.
+        ("projective_injective_duality", ("inverse",),
+         lambda: all(not any(a + b for a, b in zip(projective,
+                                                   packed_combination(injective, phi_columns)))
+                     for projective, injective in zip(cartan_p, zip(*cartan_p))),
+         "projective vector differs from -Phi * injective vector"),
+        ("euler_form_coxeter", ("inverse",),
+         lambda: all(_euler_sample_holds(rng, inverse_p, phi_columns) for _ in range(samples))),
+    )
+
+    def outcome(hypotheses, check, why_fail="") -> tuple[str, str]:
+        skip = next(filter(None, (why[h] for h in hypotheses)), "")
+        if skip:
+            return "skipped", skip
+        return ("pass", "") if check() else ("fail", why_fail)
+
+    return CheckReport(tuple(CheckResult(identity, *outcome(*entry))
+                             for identity, *entry in table))

@@ -283,6 +283,15 @@ def test_forms_bad_vector_exit_2(qv, capsys):
     assert "ValueError" in err
 
 
+@pytest.mark.parametrize("x, position", [("1,,0", 2), ("1,0,", 3), (" ,1", 1)])
+def test_forms_empty_vector_entry_exit_2(qv, capsys, x, position):
+    path = qv("two.qv", "quiver two { vertices: 1, 2; arrows: a: 1 -> 2; }")
+    assert run_cli(capsys, "forms", path, "--x=1,0", "--y=0,1") == (0, "-q\n", "")
+    code, out, err = run_cli(capsys, "forms", path, f"--x={x}", "--y=0,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: vector {x!r} has an empty entry at position {position}\n"
+
+
 def test_reflect_golden(qv, capsys):
     code, out, _ = run_cli(capsys, "reflect", qv("a3.qv", A3_TEXT), "--vertex=1")
     assert code == 0

@@ -434,7 +434,8 @@ _RELATION_FREE = ("skipped", "requires a relation-free quiver")
 
 
 def _no_end(cap):
-    return ("skipped", f"graded dimensions did not terminate (no vanishing degree up to cap {cap})")
+    return ("skipped",
+            f"graded dimensions did not terminate (no vanishing degree up to cap {cap})")
 
 
 CHAIN3 = parse_quiver("""
@@ -457,6 +458,12 @@ _VERIFIER_OUTCOMES = [
      [_PASS] * 4 + [_ONE_NUMBERING] + [_RELATION_FREE] * 3
      + [_PASS, ("skipped", "no vertex pair with vanishing form entry"), _PASS,
         _ONE_NUMBERING, _PASS, _PASS]),
+    ("no-involution", parse_quiver(
+        "quiver nd { vertices: 1, 2; arrows: a: 1 -> 2; b: 1 -> 2; d: 2 -> 1;"
+        " relations: b*d; d*a; }"), {},
+     [_ACYCLIC] * 8 + [("skipped", "no vertex with diagonal form entry 2"),
+                       ("skipped", "no vertex pair with vanishing form entry"),
+                       _ACYCLIC, _ACYCLIC, _PASS, _PASS]),
     ("a3", BoundQuiver(A3), {}, [_PASS] * 14),
     ("chain", CHAIN3, {},
      [_PASS] * 4 + [_ONE_NUMBERING] + [_PASS] * 6 + [_ONE_NUMBERING] + [_PASS] * 2),
