@@ -22,7 +22,9 @@ by dim A_{d-1} times the number of arrows, not by the number of paths.
 Without relations every path is a normal word, so dim e_i A_d e_j is
 the number of paths of length d from i to j, counted one arrow at a time
 on the nonzero (source, target) cells: a degree costs those cells times
-their out-degree, not its number of paths.
+their out-degree, not its number of paths.  Then C = sum_d (qB)^d for the
+arrow counts B, and graded dimensions that terminate make B nilpotent, so
+``cartan_inverse`` returns C^-1 = E - qB exactly, with no elimination.
 
 Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
@@ -40,7 +42,7 @@ from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
-from .polyring import ZERO, Polynomial, PolyMatrix, echelon
+from .polyring import ONE, ZERO, Polynomial, PolyMatrix, echelon
 # the benchmark's span tracer wraps rank_rational as an attribute of this module
 from .polyring import rank_rational  # noqa: F401
 from .quiverdsl import BoundQuiver, Path, Quiver
@@ -56,9 +58,6 @@ class GradedDimTable:
     n: int
     max_degree: int
     dims: Mapping[tuple[int, int, int], int]
-
-    def dim(self, i: int, j: int, degree: int) -> int:
-        return self.dims.get((i, j, degree), 0)
 
     def to_json_obj(self, vertex_names: Sequence[str] | None = None) -> dict:
         def label(v: int):
@@ -261,6 +260,17 @@ def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         cs[d] = value
     return PolyMatrix._make([[Polynomial._make(cs) if cs else ZERO for cs in row]
                              for row in coeffs])
+
+
+def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix) -> PolyMatrix:
+    """C^-1 for bq's own Cartan matrix C: E - q*B for the arrow counts B
+    without relations (see the module docstring), else
+    ``cartan.inverse_unimodular()``, which raises NotUnimodular."""
+    if bq.relations:
+        return cartan.inverse_unimodular()
+    return PolyMatrix._make([[Polynomial._make([int(i == j), -b]) if b else ONE if i == j else ZERO
+                              for j, b in enumerate(row)]
+                             for i, row in enumerate(bq.quiver.arrow_counts())])
 
 
 KINDS = ("simple", "projective", "injective")

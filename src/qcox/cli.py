@@ -185,14 +185,15 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
 
 
 def _cmd_forms(args, bq: BoundQuiver) -> int:
+    x = _parse_vector(args.x, bq.quiver.n)
+    y = _parse_vector(args.y, bq.quiver.n)
     cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
-    x = _parse_vector(args.x, cartan.n)
-    y = _parse_vector(args.y, cartan.n)
+    inverse = algebra.cartan_inverse(bq, cartan)
     if args.symmetric:
-        value = coxeter.symmetric_euler_form(cartan, x, y)
+        value = coxeter.symmetric_euler_form(cartan, x, y, inverse)
         name = "symmetric"
     else:
-        value = coxeter.euler_form(cartan, x, y)
+        value = coxeter.euler_form(cartan, x, y, inverse)
         name = "euler"
     if args.format == "json":
         at = {} if args.at_q is None else {"at_q": format_rational(args.at_q)}

@@ -24,13 +24,17 @@ columns, both admissible numberings, the Cartan matrices with the arrows
 at a sink reversed), then runs one loop over a table of (identity,
 hypotheses, check) entries in report order.  A hypothesis is acyclic,
 relation_free, inverse (graded dimensions terminate and C is unimodular),
+reversed_sinks (they terminate with the arrows at each sink reversed),
 two_numberings, involutive (some diagonal entry of A is 2) or commuting
 (some off-diagonal entry of A vanishes).  A check whose hypotheses fail is
 skipped with the reason of the first failing one; otherwise it passes or
-fails.  Identities between reflections, and the sink checks s C s^T and
-s Phi s, are built on the shared rows of the identity matrix, so only the
-rows the reflections change are computed and compared.  Form invariance is
-checked on the integer form 2G.
+fails.  C^-1 is ``algebra.cartan_inverse`` (E - q * arrow counts without
+relations), and projective_injective_duality certifies it: for the X used,
+Phi = -C^T X, and -Phi C = C^T holds exactly when X C = E, as C^T is
+invertible.  Identities between reflections, and the sink checks s C s^T
+and s Phi s, are built on the shared rows of the identity matrix, so only
+the rows the reflections change are computed and compared.  Form
+invariance is checked on the integer form 2G.
 
 Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
@@ -59,7 +63,7 @@ from fractions import Fraction
 from math import prod
 from operator import mul, sub
 
-from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_matrix
+from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_inverse, cartan_matrix
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
 from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
@@ -252,15 +256,16 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     graded dimensions terminate with unimodular Cartan matrix.
     method="reflections" multiplies Cartan reflections along an admissible
     numbering and additionally needs the quiver to be acyclic.  The two
-    agree on acyclic input.
+    agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
+    matrix; C^-1 comes from ``algebra.cartan_inverse``.
     """
     if cartan is None:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
-        return cartan.transpose() * -cartan.inverse_unimodular()
+        return cartan.transpose() * -cartan_inverse(bq, cartan)
     if method == "reflections":
         numbering = admissible_numbering(bq.quiver)
-        form = symmetric_form_matrix(cartan)
+        form = symmetric_form_matrix(cartan, cartan_inverse(bq, cartan))
         return PolyMatrix._make(_reflection_product(
             numbering, lambda v: _gamma_row(form, v), PolyMatrix.identity(form.n).rows))
     raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
@@ -438,7 +443,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
     # Cartan matrix of the bound quiver and its inverse, shared by everything below
     try:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
-        inverse = cartan.inverse_unimodular()
+        inverse = cartan_inverse(bq, cartan)
         why["inverse"] = ""
     except DegreeCapExceeded as exc:
         why["inverse"] = f"graded dimensions did not terminate ({exc})"
@@ -446,13 +451,20 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         why["inverse"] = f"Cartan matrix is not unimodular ({exc})"
     # relation-free theorems compare graph products against the Cartan matrix
     sink_theorems = ("acyclic", "relation_free", "inverse")
-    # per sink: Cartan matrix, numbering and graph rows with its arrows reversed
+    # per sink, with its arrows reversed (which can make paths longer):
+    # Cartan matrix, numbering and graph rows
     flipped = []
-    for i in () if any(why[h] for h in sink_theorems) else quiver.sinks():
-        f = sigma_reflect(quiver, i)
-        f_counts = f.edge_counts()
-        flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
-                        admissible_numbering(f), [_graph_row(f, f_counts, v) for v in range(n)]))
+    why["reversed_sinks"] = ""
+    try:
+        for i in () if any(why[h] for h in sink_theorems) else quiver.sinks():
+            f = sigma_reflect(quiver, i)
+            f_counts = f.edge_counts()
+            flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
+                            admissible_numbering(f),
+                            [_graph_row(f, f_counts, v) for v in range(n)]))
+    except DegreeCapExceeded as exc:
+        why["reversed_sinks"] = (f"graded dimensions with the arrows at sink "
+                                 f"{quiver.vertices[i]} reversed did not terminate ({exc})")
     first = second = ()
     if acyclic:
         first, second = admissible_numbering(quiver), admissible_numbering(quiver, True)
@@ -488,9 +500,9 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         cartan_p = _pack_rows(cartan.rows, w)
         inverse_p = _pack_rows(inverse.rows, w)
         # column j of Phi = -C^T C^-1 is the combination of C's rows that
-        # column j of -C^-1 names: the packed kernel costs n operations per
-        # coefficient, and C^-1 is the sparser (E - q * arrow counts when
-        # there are no relations)
+        # column j of -C^-1 names: the packed kernel reads only the nonzero
+        # entries, and C^-1 is the sparser (E - q * arrow counts when there
+        # are no relations)
         phi_columns = [packed_combination([-e for e in column], cartan_p)
                        for column in zip(*inverse_p)]
         phi_cartan = [list(row) for row in zip(*phi_columns)]
@@ -520,10 +532,10 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         ("coxeter_numbering_independence", ("acyclic", "two_numberings"),
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
-        ("sink_reflection_cartan", sink_theorems,
+        ("sink_reflection_cartan", sink_theorems + ("reversed_sinks",),
          lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
                      for i, c, _, _ in flipped)),
-        ("sink_reflection_coxeter", sink_theorems,
+        ("sink_reflection_coxeter", sink_theorems + ("reversed_sinks",),
          lambda: all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
                      _word(eye, _pack_rows(rows, w), *numbering)
                      for i, _, numbering, rows in flipped)),

@@ -8,11 +8,13 @@ Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros (the zero polynomial is the empty tuple).  Matrices are
 immutable row tuples of polynomials.
 
-Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B) over
-the nonzero a_ik only (``row_combination``), so products with the
-near-identity reflection matrices cost what their nonzero entries cost.
-A matrix-vector product is one such combination of the columns, and a
-dot product one combination of one-entry rows.
+Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B)
+(``row_combination``).  The row kernels, this one and the packed
+``packed_combination`` below, find the nonzero coefficients and the
+nonzero entries of the rows they name with a C-level scan (``compress``)
+and touch nothing else, so a sparse inverse and the near-identity
+reflection rows cost what their nonzero entries cost.  A dot product is
+one combination of one-entry rows.
 The determinant and the unimodular inverse come from one Gauss-Jordan
 elimination over the Euclidean domain Q[q], which never forms a
 rational-function field.  Each column's pivot is a live row of least
@@ -42,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import ceil
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotUnimodular
@@ -105,17 +108,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self):
-        """The constant it equals, or None if degree > 0."""
-        if not self.coeffs:
-            return 0
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        return None
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -198,10 +190,6 @@ class Polynomial:
         # str writes an int or a Fraction as format_rational does
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_coeff_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(parse_rational(s) for s in items)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -232,6 +220,7 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+_COEFFS = attrgetter("coeffs")
 _ZERO = Polynomial._make([])
 _ONE = Polynomial._make([1])
 
@@ -248,22 +237,16 @@ def poly_vector(values: Iterable) -> tuple[Polynomial, ...]:
 
 def row_combination(coeffs: Sequence[Polynomial],
                     rows: Sequence[Sequence[Polynomial]]) -> tuple[Polynomial, ...]:
-    """The row sum of coeffs[k] * rows[k] over k.
-
-    Only the rows with a nonzero coefficient are read, and only their
-    nonzero entries are multiplied, so a row of a near-identity matrix costs
-    as much as the rows it names.
-    """
+    """The row sum of coeffs[k] * rows[k] over k; only the nonzero
+    coefficients, and the nonzero entries of the rows they name, are read."""
     acc: list = [None] * len(rows[0])
-    for ac, row in zip(coeffs, rows):
-        nonzero = [(i, ac.coeffs[i]) for i in compress(count(), ac.coeffs)]
-        if not nonzero:
-            continue
-        for j, entry in enumerate(row):
-            bc = entry.coeffs
-            if not bc:
-                continue
-            need = len(ac.coeffs) + len(bc) - 1
+    for k in compress(count(), map(_COEFFS, coeffs)):
+        ac = coeffs[k].coeffs
+        nonzero = [(i, ac[i]) for i in compress(count(), ac)]
+        row = rows[k]
+        for j in compress(count(), map(_COEFFS, row)):
+            bc = row[j].coeffs
+            need = len(ac) + len(bc) - 1
             cur = acc[j]
             if cur is None:
                 cur = acc[j] = [0] * need
@@ -302,13 +285,15 @@ def pack(p: Polynomial, w: int) -> int:
 
 
 def packed_combination(coeffs: Sequence[int], rows: Sequence[list[int]]) -> list[int]:
-    """The row sum of coeffs[k] * rows[k] over k, on packed entries; only the
-    rows with a nonzero coefficient are read."""
-    acc = None
-    for a, row in zip(coeffs, rows):
-        if a:
-            acc = [a * x for x in row] if acc is None else [s + a * x for s, x in zip(acc, row)]
-    return [0] * len(rows[0]) if acc is None else acc
+    """The row sum of coeffs[k] * rows[k] over k, on packed entries; only
+    the nonzero coefficients, and the nonzero entries of the rows they name,
+    are read."""
+    acc = [0] * len(rows[0])
+    for k in compress(count(), coeffs):
+        a, row = coeffs[k], rows[k]
+        for j in compress(count(), row):
+            acc[j] += a * row[j]
+    return acc
 
 
 class PolyMatrix:
@@ -379,19 +364,8 @@ class PolyMatrix:
         f = Polynomial.coerce(factor)
         return PolyMatrix._make([[f * a for a in row] for row in self.rows])
 
-    def mul_vector(self, vec: Sequence) -> tuple[Polynomial, ...]:
-        v = poly_vector(vec)
-        if len(v) != self.n:
-            raise ValueError(f"vector length {len(v)} != matrix order {self.n}")
-        # M v is the combination of M's columns that v names
-        return row_combination(v, tuple(zip(*self.rows)))
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])
-
-    def is_identity(self) -> bool:
-        return all(e == (_ONE if i == j else _ZERO)
-                   for i, row in enumerate(self.rows) for j, e in enumerate(row))
 
     def det(self) -> Polynomial:
         """Determinant, by the elimination that also inverts (``_eliminate``)."""
@@ -477,14 +451,6 @@ class PolyMatrix:
         """Entrywise exact evaluation at q = q0."""
         q0 = Fraction(q0)
         return [[e.evaluate(q0) for e in row] for row in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PolyMatrix":
-        rows = [[Polynomial.from_coeff_strings(e) for e in row] for row in obj["entries"]]
-        m = cls(rows)
-        if m.n != obj.get("n", m.n):
-            raise ValueError("matrix order does not match entry grid")
-        return m
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.rows]

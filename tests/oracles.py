@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
-from qcox.polyring import Polynomial, PolyMatrix
+from qcox.polyring import Polynomial, PolyMatrix, parse_rational, poly_vector, row_combination
 from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
 
 
@@ -433,6 +433,40 @@ def matrix_json_obj(m: PolyMatrix) -> dict:
     return {"n": m.n, "entries": [[e.to_coeff_strings() for e in row] for row in m.rows]}
 
 
+def poly_from_coeff_strings(items) -> Polynomial:
+    """Inverse of ``Polynomial.to_coeff_strings``."""
+    return Polynomial(parse_rational(s) for s in items)
+
+
+def matrix_from_json_obj(obj: dict) -> PolyMatrix:
+    """The matrix that ``matrix_json_obj`` (and ``cli`` JSON output) describes."""
+    m = PolyMatrix([[poly_from_coeff_strings(e) for e in row] for row in obj["entries"]])
+    if m.n != obj.get("n", m.n):
+        raise ValueError("matrix order does not match entry grid")
+    return m
+
+
+def is_constant(p: Polynomial) -> bool:
+    return len(p.coeffs) <= 1
+
+
+def constant_value(p: Polynomial):
+    """The constant p equals, or None if its degree is positive."""
+    return (p.coeffs or (0,))[0] if is_constant(p) else None
+
+
+def is_identity(m: PolyMatrix) -> bool:
+    return all(e == int(i == j) for i, row in enumerate(m.rows) for j, e in enumerate(row))
+
+
+def mul_vector(m: PolyMatrix, vec) -> tuple[Polynomial, ...]:
+    """M v, as the combination of M's columns that v names."""
+    v = poly_vector(vec)
+    if len(v) != m.n:
+        raise ValueError(f"vector length {len(v)} != matrix order {m.n}")
+    return row_combination(v, tuple(zip(*m.rows)))
+
+
 def permuted(m: PolyMatrix, order) -> PolyMatrix:
     """Reindex rows and columns: entry'(a, b) = entry(order[a], order[b])."""
     if sorted(order) != list(range(m.n)):
@@ -447,6 +481,11 @@ def is_symmetric(m: PolyMatrix) -> bool:
 def is_lower_unitriangular(m: PolyMatrix) -> bool:
     return all(m.rows[i][i] == 1 for i in range(m.n)) and \
         all(m.rows[i][j].is_zero() for i in range(m.n) for j in range(i + 1, m.n))
+
+
+def dim(table, i: int, j: int, degree: int) -> int:
+    """dim of the (i, j) component of one degree of a graded dimension table."""
+    return table.dims.get((i, j, degree), 0)
 
 
 def total_at(table, degree: int) -> int:

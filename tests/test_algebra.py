@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, cartan_matrix,
+from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, cartan_inverse, cartan_matrix,
                           cartan_det_check, dim_vector, enumerate_paths, graded_dims)
-from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded
+from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded, NotUnimodular
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import (classical_cartan_by_path_counts, det_permutation_sum, exterior,
-                     exterior_dims, naive_degree_dims, naive_graded_dims, preprojective,
-                     preprojective_dims, random_cyclic_bound_quiver, total_at, truncated,
-                     truncated_dims)
+from oracles import (classical_cartan_by_path_counts, det_permutation_sum, dim, exterior,
+                     exterior_dims, is_identity, koszul_inverse, mul_vector, naive_degree_dims,
+                     naive_graded_dims, preprojective, preprojective_dims,
+                     random_cyclic_bound_quiver, total_at, truncated, truncated_dims)
 
 
 def P(*coeffs):
@@ -86,7 +86,7 @@ def test_graded_dims_three_cycle(three_cycle):
     expected.update({(0, 1, 1): 1, (1, 0, 1): 1, (1, 2, 1): 1, (2, 1, 1): 1,
                      (0, 0, 2): 1, (1, 1, 2): 1, (2, 2, 2): 1})
     assert dict(table.dims) == expected
-    assert table.dim(0, 2, 2) == 0
+    assert dim(table, 0, 2, 2) == 0
     assert total_at(table, 3) == 0
 
 
@@ -144,7 +144,7 @@ def test_dim_vector_rows_and_columns_match_cartan(double_arrow_chain):
         assert dim_vector(double_arrow_chain, "projective", i) == tuple(c.rows[i])
         assert dim_vector(double_arrow_chain, "injective", i) == c.column(i)
         simple = dim_vector(double_arrow_chain, "simple", i)
-        assert c.mul_vector(simple) == c.column(i)
+        assert mul_vector(c, simple) == c.column(i)
 
 
 def test_cartan_det_check(three_cycle, two_vertex_cyclic):
@@ -186,7 +186,56 @@ def test_relation_free_cartan_inverts_arrow_matrix():
         n = quiver.n
         e_minus_qb = PolyMatrix([[P(int(i == j), -b[i][j]) for j in range(n)]
                                  for i in range(n)])
-        assert (c * e_minus_qb).is_identity()
+        assert is_identity(c * e_minus_qb)
+
+
+def _chain(n: int, parallel: int) -> Quiver:
+    return Quiver(tuple(str(v + 1) for v in range(n)),
+                  tuple(Arrow(f"a{v}_{c}", v, v + 1)
+                        for v in range(n - 1) for c in range(parallel)))
+
+
+def test_cartan_inverse_closed_form_matches_elimination_and_koszul_dual(double_arrow_chain):
+    # without relations cartan_inverse is E - q*B; the elimination and the
+    # Koszul dual (C^-1(q) = C_{A!}(-q)^T) must give the same matrix
+    rng = random.Random(83)
+    quivers = [random_acyclic_quiver(rng, 2, 9) for _ in range(40)]
+    quivers += [_chain(n, parallel) for n in (1, 2, 6, 12) for parallel in (1, 2)]
+    quivers.append(_chain(5, 3))
+    quivers.append(double_arrow_chain.quiver)
+    with_parallel = 0
+    for quiver in quivers:
+        bq = BoundQuiver(quiver)
+        c = cartan_matrix(bq)
+        assert cartan_inverse(bq, c) == c.inverse_unimodular() == koszul_inverse(bq)
+        with_parallel += any(m > 1 for row in quiver.arrow_counts() for m in row)
+    assert with_parallel >= 15
+
+
+def test_cartan_inverse_with_relations_is_the_elimination(three_cycle, double_arrow_chain,
+                                                          two_vertex_cyclic):
+    rng = random.Random(89)
+    cases = [random_bound_quiver(rng) for _ in range(40)]
+    cases += [random_cyclic_bound_quiver(rng) for _ in range(40)]
+    cases += [three_cycle, double_arrow_chain, two_vertex_cyclic]
+    inverted = refused = 0
+    for bq in cases:
+        if not bq.relations:
+            continue
+        c = cartan_matrix(bq)
+        try:
+            expected = c.inverse_unimodular()
+        except NotUnimodular as exc:
+            with pytest.raises(NotUnimodular) as raised:
+                cartan_inverse(bq, c)
+            assert str(raised.value) == str(exc)
+            refused += 1
+            continue
+        assert cartan_inverse(bq, c) == expected
+        inverted += 1
+    assert inverted >= 20 and refused >= 5
+    with pytest.raises(NotUnimodular):
+        cartan_inverse(three_cycle, cartan_matrix(three_cycle))
 
 
 def test_graded_dims_match_naive_oracle_random():
@@ -328,7 +377,7 @@ def test_path_counts_match_naive_oracle_and_enumerated_paths():
         for d in range(table.max_degree + 1):
             for i in range(n):
                 for j in range(n):
-                    assert table.dim(i, j, d) == len(enumerate_paths(bq.quiver, i, j, d))
+                    assert dim(table, i, j, d) == len(enumerate_paths(bq.quiver, i, j, d))
 
 
 def test_path_counts_raise_like_normal_words():

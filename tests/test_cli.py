@@ -13,7 +13,8 @@ from qcox.cli import main, poly_latex, render_matrix
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import parse_quiver
 
-from oracles import frac_inverse, frac_mul, frac_neg, frac_transpose, matrix_json_obj
+from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, matrix_from_json_obj,
+                     matrix_json_obj)
 
 A3_TEXT = """
 quiver a3 {
@@ -100,7 +101,7 @@ def test_cartan_json_round_trip(qv, capsys):
     path = qv("dc.qv", DOUBLE_CHAIN_TEXT)
     code, out, _ = run_cli(capsys, "cartan", path, "--format=json")
     assert code == 0
-    parsed = PolyMatrix.from_json_obj(json.loads(out))
+    parsed = matrix_from_json_obj(json.loads(out))
     assert parsed == cartan_matrix(parse_quiver(DOUBLE_CHAIN_TEXT))
 
 
@@ -110,7 +111,7 @@ def test_cartan_json_input(qv, capsys):
     path = qv("dc.json", blob)
     code, out, _ = run_cli(capsys, "cartan", path, "--format=json")
     assert code == 0
-    assert PolyMatrix.from_json_obj(json.loads(out)) == \
+    assert matrix_from_json_obj(json.loads(out)) == \
         cartan_matrix(parse_quiver(DOUBLE_CHAIN_TEXT))
 
 
@@ -292,6 +293,18 @@ def test_forms_empty_vector_entry_exit_2(qv, capsys, x, position):
     assert err == f"error: ValueError: vector {x!r} has an empty entry at position {position}\n"
 
 
+def test_forms_parses_vectors_before_the_cartan_matrix(qv, capsys):
+    # the graded dimensions of a 2-cycle never end: a malformed vector is
+    # reported as such, not as the degree cap of the Cartan matrix
+    path = qv("loop2.qv", "quiver l2 { vertices: 1, 2; arrows: u: 1 -> 2; v: 2 -> 1; }")
+    code, out, err = run_cli(capsys, "forms", path, "--x=1,,0", "--y=0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: vector '1,,0' has an empty entry at position 2\n"
+    code, out, err = run_cli(capsys, "forms", path, "--x=1,0", "--y=0,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DegreeCapExceeded: ")
+
+
 def test_reflect_golden(qv, capsys):
     code, out, _ = run_cli(capsys, "reflect", qv("a3.qv", A3_TEXT), "--vertex=1")
     assert code == 0
@@ -326,6 +339,18 @@ def test_verify_passes_on_a3(qv, capsys):
     lines = out.splitlines()
     assert all(line.startswith(("PASS", "SKIP", "verified")) for line in lines)
     assert any(line.startswith("PASS input: coxeter_vs_cartan") for line in lines)
+    assert lines[-1] == "verified 1 instance(s), 0 failing check(s)"
+
+
+def test_verify_skips_sink_checks_when_a_reversed_sink_reaches_the_cap(qv, capsys):
+    code, out, err = run_cli(capsys, "verify", qv("a3.qv", A3_TEXT), "--degree-cap=2")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    reason = ("(graded dimensions with the arrows at sink 1 reversed did not terminate "
+              "(no vanishing degree up to cap 2))")
+    assert [line for line in lines if line.startswith("SKIP")] == [
+        f"SKIP input: sink_reflection_cartan {reason}",
+        f"SKIP input: sink_reflection_coxeter {reason}"]
     assert lines[-1] == "verified 1 instance(s), 0 failing check(s)"
 
 

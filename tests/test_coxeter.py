@@ -19,8 +19,8 @@ from qcox.polyring import ONE, Polynomial, PolyMatrix, pack
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, is_symmetric,
-                     naive_matmul)
+from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, is_identity,
+                     is_symmetric, mul_vector, naive_matmul)
 
 
 def P(*coeffs):
@@ -141,7 +141,7 @@ def test_reflection_relations_prop():
         counts = quiver.edge_counts()
         refl = [graph_reflection(quiver, i).matrix for i in range(n)]
         for s in refl:
-            assert (s * s).is_identity()
+            assert is_identity(s * s)
         for i in range(n):
             for j in range(i + 1, n):
                 if counts[i][j] == 0:
@@ -338,8 +338,8 @@ def test_euler_form_coxeter_identities_random():
             x = [rng.randint(-4, 4) for _ in range(n)]
             y = [rng.randint(-4, 4) for _ in range(n)]
             direct = euler_form(c, x, y, inv)
-            assert direct == -euler_form(c, phi.mul_vector(y), x, inv)
-            assert direct == euler_form(c, phi.mul_vector(x), phi.mul_vector(y), inv)
+            assert direct == -euler_form(c, mul_vector(phi, y), x, inv)
+            assert direct == euler_form(c, mul_vector(phi, x), mul_vector(phi, y), inv)
 
 
 def test_symmetric_euler_form_matches_form_matrix():
@@ -395,7 +395,7 @@ def test_projective_injective_duality_random():
         phi = coxeter_matrix_bound(bq, cartan=c)
         for i in range(c.n):
             p = dim_vector(bq, "projective", i, cartan=c)
-            image = phi.mul_vector(dim_vector(bq, "injective", i, cartan=c))
+            image = mul_vector(phi, dim_vector(bq, "injective", i, cartan=c))
             assert all((a + b).is_zero() for a, b in zip(p, image))
 
 
@@ -469,6 +469,12 @@ _VERIFIER_OUTCOMES = [
      [_PASS] * 4 + [_ONE_NUMBERING] + [_PASS] * 6 + [_ONE_NUMBERING] + [_PASS] * 2),
     ("chain-capped", CHAIN3, {"degree_cap": 2},
      [_PASS] * 4 + [_ONE_NUMBERING] + [_no_end(2)] * 9),
+    # A3's own graded dimensions end at degree 1, but reversing the arrows
+    # at sink 1 gives the chain 1 -> 2 -> 3, whose degree 2 reaches the cap
+    ("a3-reversed-sink-capped", BoundQuiver(A3), {"degree_cap": 2},
+     [_PASS] * 6 + [("skipped", "graded dimensions with the arrows at sink 1 reversed "
+                                "did not terminate (no vanishing degree up to cap 2)")] * 2
+     + [_PASS] * 6),
 ]
 
 
@@ -564,7 +570,7 @@ def test_gamma_lemma_conditions_random():
         gammas = [gamma_reflection(c, i, form).matrix for i in range(c.n)]
         for i in range(c.n):
             if form.entry(i, i) == 2:
-                assert (gammas[i] * gammas[i]).is_identity()
+                assert is_identity(gammas[i] * gammas[i])
             for j in range(i + 1, c.n):
                 if form.entry(i, j).is_zero():
                     assert gammas[i] * gammas[j] == gammas[j] * gammas[i]
@@ -622,7 +628,7 @@ def test_row_local_checks_match_full_matrix_identities(case, data):
     j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
     eye, packed = _eye(n), _pack_rows(rows, W)
     si, sj = _full(n, rows, i), _full(n, rows, j)
-    assert _involution_holds(eye, packed, i) == naive_matmul(si, si).is_identity()
+    assert _involution_holds(eye, packed, i) == is_identity(naive_matmul(si, si))
     assert _commutation_holds(eye, packed, i, j) == \
         (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
@@ -713,17 +719,38 @@ def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_
         assert idx(report)["form_invariance"] == ("fail", "")
 
 
+def _corrupt_first_row(inverse: PolyMatrix) -> PolyMatrix:
+    rows = [list(row) for row in inverse.rows]
+    rows[0][1] = rows[0][1] + P(0, 1)
+    return PolyMatrix(rows)
+
+
 def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
+    # A3 has no relations: C^-1 is the closed form E - qB of cartan_inverse
+    import qcox.coxeter as coxeter_module
+    original = coxeter_module.cartan_inverse
+
+    def corrupted(bq, cartan):
+        return _corrupt_first_row(original(bq, cartan))
+
+    assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("pass", "")
+    monkeypatch.setattr(coxeter_module, "cartan_inverse", corrupted)
+    report = idx(verify_identities(BoundQuiver(A3)))
+    assert report["projective_injective_duality"] == (
+        "fail", "projective vector differs from -Phi * injective vector")
+    assert report["euler_form_coxeter"] == ("fail", "")
+
+
+def test_verify_identities_fails_on_a_corrupted_elimination_inverse(monkeypatch):
+    # DOUBLE_CHAIN has a relation: C^-1 comes from PolyMatrix.inverse_unimodular
     original = PolyMatrix.inverse_unimodular
 
     def corrupted(self):
-        rows = [list(row) for row in original(self).rows]
-        rows[0][1] = rows[0][1] + P(0, 1)
-        return PolyMatrix(rows)
+        return _corrupt_first_row(original(self))
 
-    assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("pass", "")
+    assert idx(verify_identities(DOUBLE_CHAIN))["euler_form_coxeter"] == ("pass", "")
     monkeypatch.setattr(PolyMatrix, "inverse_unimodular", corrupted)
-    report = idx(verify_identities(BoundQuiver(A3)))
+    report = idx(verify_identities(DOUBLE_CHAIN))
     assert report["projective_injective_duality"] == (
         "fail", "projective vector differs from -Phi * injective vector")
     assert report["euler_form_coxeter"] == ("fail", "")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcox import polyring
@@ -10,12 +10,14 @@ from qcox.algebra import cartan_matrix
 from qcox.errors import NotUnimodular, QcoxError
 from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quotient,
                            echelon, format_rational, norm, pack, packed_combination,
+                           row_combination,
                            parse_rational, rank_rational, slot_width)
 
-from oracles import (det_permutation_sum, gauss_pivot_columns, gauss_rank,
-                     is_lower_unitriangular, is_symmetric, koszul_inverse, matrix_json_obj,
-                     naive_matmul, naive_sink_order, permuted, random_cyclic_bound_quiver,
-                     random_quadratic_monomial_quiver, unpack)
+from oracles import (constant_value, det_permutation_sum, gauss_pivot_columns, gauss_rank,
+                     is_constant, is_identity, is_lower_unitriangular, is_symmetric,
+                     koszul_inverse, matrix_from_json_obj, matrix_json_obj, mul_vector,
+                     naive_matmul, naive_sink_order, permuted, poly_from_coeff_strings,
+                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, unpack)
 
 
 def P(*coeffs):
@@ -82,7 +84,7 @@ def test_polynomial_serialization_round_trip():
     p = P(1, 0, Fraction(2, 3), -4)
     strings = p.to_coeff_strings()
     assert strings == ["1", "0", "2/3", "-4"]
-    assert Polynomial.from_coeff_strings(strings) == p
+    assert poly_from_coeff_strings(strings) == p
 
 
 def test_quotient():
@@ -141,7 +143,7 @@ def test_hash_agrees_with_equality_on_constants():
 
 @given(poly_st)
 def test_equal_values_hash_equal(p):
-    constant = p.constant_value()
+    constant = constant_value(p)
     if constant is not None:
         assert p == constant and hash(p) == hash(constant)
     assert hash(p) == hash(Polynomial(p.coeffs))
@@ -230,7 +232,53 @@ def test_sparse_product_matches_triple_loop(pair):
     expected = naive_matmul(a, b)
     assert a * b == expected
     for j in range(a.n):
-        assert a.mul_vector(b.column(j)) == expected.column(j)
+        assert mul_vector(a, b.column(j)) == expected.column(j)
+
+
+# --- row kernels against a dense reference loop ------------------------------
+
+def dense_combination(coeffs, rows, zero):
+    """The row sum of coeffs[k] * rows[k], every entry visited, zeros included."""
+    out = [zero] * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        for j, e in enumerate(row):
+            out[j] = out[j] + a * e
+    return out
+
+
+@st.composite
+def combinations(draw, entry, zero):
+    """(coeffs, rows): k rows of length n, some coefficients zero and some
+    rows zero throughout."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.one_of(st.just(zero), entry), min_size=k, max_size=k))
+    rows = draw(st.lists(st.one_of(st.just([zero] * n),
+                                   st.lists(entry, min_size=n, max_size=n)),
+                         min_size=k, max_size=k))
+    return coeffs, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations(sparse_poly_st, ZERO))
+@example(([ZERO, ZERO], [[P(1), ZERO], [ZERO, Q]]))
+@example(([P(Fraction(1, 2)), Q], [[ZERO, ZERO], [P(0, Fraction(-2, 3)), ZERO]]))
+def test_row_combination_matches_the_dense_loop(case):
+    coeffs, rows = case
+    assert row_combination(coeffs, rows) == tuple(dense_combination(coeffs, rows, ZERO))
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations(st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70)), 0))
+@example(([0, 0], [[1, 0], [0, 5]]))
+@example(([3, -1], [[0, 0], [0, 0]]))
+def test_packed_combination_matches_the_dense_loop(case):
+    coeffs, rows = case
+    before = [list(row) for row in rows]
+    result = packed_combination(coeffs, rows)
+    assert result == dense_combination(coeffs, rows, 0)
+    # the result is a new list: writing to it leaves the rows as they were
+    result[0] += 1
+    assert rows == before
 
 
 # --- packed Z[q] ------------------------------------------------------------
@@ -309,10 +357,10 @@ def test_norm_is_the_largest_row_sum_of_absolute_coefficients():
 
 def test_mul_vector_and_scaled():
     a = M([[1, Q], [0, 1]])
-    assert a.mul_vector([1, 1]) == (P(1, 1), ONE)
+    assert mul_vector(a, [1, 1]) == (P(1, 1), ONE)
     assert a.scaled(Q) == M([[Q, Q * Q], [0, Q]])
     with pytest.raises(ValueError):
-        a.mul_vector([1])
+        mul_vector(a, [1])
 
 
 def test_det_golden_examples():
@@ -375,7 +423,7 @@ def test_determinant_sign_from_pivot_rows():
     for a, det in ((swap, -1), (shifted_swap, -1), (three_cycle, 1)):
         assert a.det() == det == det_permutation_sum(a)
         inv = a.inverse_unimodular()
-        assert (a * inv).is_identity() and (inv * a).is_identity()
+        assert is_identity(a * inv) and is_identity(inv * a)
         # doubling the first row doubles the determinant, sign included
         doubled = M([[2 * e for e in a.rows[0]]] + [list(r) for r in a.rows[1:]])
         with pytest.raises(NotUnimodular) as raised:
@@ -387,7 +435,7 @@ def test_inverse_keeps_minus_one_pivots_int():
     a = M([[-1, Q], [0, 1]])
     inv = a.inverse_unimodular()
     assert inv == M([[-1, Q], [0, 1]])
-    assert (a * inv).is_identity()
+    assert is_identity(a * inv)
     coeffs = [c for row in inv.rows for e in row for c in e.coeffs]
     assert all(type(c) is int for c in coeffs)
     found_det = a.det()
@@ -398,16 +446,16 @@ def test_inverse_without_constant_pivots():
     # every entry has positive degree, so no column starts with a constant
     # pivot and the Euclidean rounds must make one
     a = M([[P(1, 1), Q], [P(2, 1), P(1, 1)]])
-    assert not any(e.is_constant() for row in a.rows for e in row)
+    assert not any(is_constant(e) for row in a.rows for e in row)
     inv = a.inverse_unimodular()
     assert inv == M([[P(1, 1), -Q], [P(-2, -1), P(1, 1)]])
-    assert (a * inv).is_identity() and (inv * a).is_identity()
+    assert is_identity(a * inv) and is_identity(inv * a)
     # no constant entry anywhere, in either orientation
     b = M([[P(1, 0, 1), P(0, 2, 0, 1)], [Q, P(1, 0, 1)]])
     for c in (b, b.transpose()):
-        assert not any(e.is_constant() for row in c.rows for e in row)
+        assert not any(is_constant(e) for row in c.rows for e in row)
         inv = c.inverse_unimodular()
-        assert naive_matmul(c, inv).is_identity() and naive_matmul(inv, c).is_identity()
+        assert is_identity(naive_matmul(c, inv)) and is_identity(naive_matmul(inv, c))
 
 
 def test_inverse_round_trip_random():
@@ -416,8 +464,8 @@ def test_inverse_round_trip_random():
         n = rng.randint(1, 4)
         a = rand_unimodular(rng, n)
         inv = a.inverse_unimodular()
-        assert (a * inv).is_identity()
-        assert (inv * a).is_identity()
+        assert is_identity(a * inv)
+        assert is_identity(inv * a)
         assert a.adjugate() == (inv if a.det() == 1 else -inv)
 
 
@@ -446,7 +494,7 @@ def test_cyclic_cartan_sweep(monkeypatch):
             continue
         unimodular += 1
         euclidean += len(quotients) > rounds
-        assert naive_matmul(a, inv).is_identity()
+        assert is_identity(naive_matmul(a, inv))
     assert unimodular >= 20 and euclidean >= 5
 
 
@@ -503,7 +551,7 @@ def test_permuted_and_predicates():
 
 def test_matrix_json_round_trip():
     a = M([[P(1, 0, 1), P(Fraction(1, 2))], [Q, P(-1)]])
-    assert PolyMatrix.from_json_obj(matrix_json_obj(a)) == a
+    assert matrix_from_json_obj(matrix_json_obj(a)) == a
 
 
 # --- rational rank ---------------------------------------------------------
