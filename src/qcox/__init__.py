@@ -1,8 +1,7 @@
 """Exact q-weighted Cartan and Coxeter matrices for homogeneous bound
 quivers, with machine verification of the identities relating them."""
 
-from .algebra import (GradedDimTable, cartan_det_check, cartan_matrix,
-                      dim_vector, enumerate_paths, graded_dims)
+from .algebra import GradedDimTable, cartan_matrix, dim_vector, graded_dims
 from .coxeter import (CheckReport, CheckResult, ReflectionMatrix,
                       admissible_numbering, bilinear_form_graph,
                       coxeter_matrix_bound, coxeter_matrix_graph, euler_form,
@@ -14,7 +13,7 @@ from .errors import (DegreeCapExceeded, DimensionBudgetExceeded, LoopAtVertex,
                      NotAcyclic, NotUnimodular, QcoxError, QuiverSyntaxError,
                      ValidationError)
 from .polyring import (Polynomial, PolyMatrix, Rational, format_rational,
-                       parse_rational, poly_vector, rank_rational)
+                       parse_rational, poly_vector)
 from .quiverdsl import (Arrow, BoundQuiver, Path, Quiver, Relation,
                         ValidationReport, emit_json, emit_text, load_file,
                         parse_json, parse_quiver, validate)

@@ -25,6 +25,8 @@ on the nonzero (source, target) cells: a degree costs those cells times
 their out-degree, not its number of paths.  Then C = sum_d (qB)^d for the
 arrow counts B, and graded dimensions that terminate make B nilpotent, so
 ``cartan_inverse`` returns C^-1 = E - qB exactly, with no elimination.
+No dimension is counted by listing paths; ``iter_paths_by_degree`` lists
+them only for ``randquiver``, which draws random relations from them.
 
 Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
@@ -82,14 +83,6 @@ def iter_paths_by_degree(quiver: Quiver) -> Iterator[list[Path]]:
         yield frontier
         frontier = [Path(p.arrows + (idx,), p.source, quiver.arrows[idx].target)
                     for p in frontier for idx in out[p.target]]
-
-
-def enumerate_paths(quiver: Quiver, source: int, target: int, length: int) -> list[Path]:
-    """All length-d paths source -> target, lexicographic in arrow indices."""
-    if length < 0:
-        raise ValueError("path length must be non-negative")
-    paths = next(islice(iter_paths_by_degree(quiver), length, None))
-    return [p for p in paths if p.source == source and p.target == target]
 
 
 class _Degree:
@@ -285,32 +278,10 @@ def dim_vector(bq: BoundQuiver, kind: str, vertex: int,
     n = bq.quiver.n
     if not 0 <= vertex < n:
         raise ValueError(f"vertex index {vertex} out of range")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "simple":
         return tuple(Polynomial([int(i == vertex)]) for i in range(n))
     if cartan is None:
         cartan = cartan_matrix(bq, degree_cap)
-    if kind == "projective":
-        return tuple(cartan.rows[vertex])
-    if kind == "injective":
-        return cartan.column(vertex)
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-@dataclass(frozen=True)
-class DetCheck:
-    det: Polynomial
-    unimodular: bool
-
-    def to_json_obj(self) -> dict:
-        return {"det": self.det.to_coeff_strings(), "unimodular": self.unimodular}
-
-
-def cartan_det_check(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP) -> DetCheck:
-    """Determinant of the Cartan matrix and whether it is +1 or -1.
-
-    A determinant outside {1, -1} rules the quiver out of the reflection
-    machinery; a determinant inside it does not by itself certify anything
-    stronger, so this is a gate, not a classification.
-    """
-    det = cartan_matrix(bq, degree_cap).det()
-    return DetCheck(det, det == 1 or det == -1)
+    return tuple(cartan.rows[vertex]) if kind == "projective" else cartan.column(vertex)

@@ -156,6 +156,9 @@ def _cmd_coxeter(args, bq: BoundQuiver) -> int:
 
 def _cmd_dims(args, bq: BoundQuiver) -> int:
     kind = next((k for k in algebra.KINDS if getattr(args, k)), None)
+    if kind is None and args.vertex is not None:
+        raise ValueError("--vertex needs --simple, --projective or --injective")
+    vertex = _vertex_index(bq, args.vertex)
     if kind is None:
         table = algebra.graded_dims(bq, args.degree_cap, args.max_dim)
         if args.format == "json":
@@ -167,7 +170,6 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
             print(f"max_degree: {table.max_degree}")
         return 0
     cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
-    vertex = _vertex_index(bq, args.vertex)
     vertices = range(bq.quiver.n) if vertex is None else [vertex]
     rows = []
     for v in vertices:
@@ -314,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in algebra.KINDS:
         group.add_argument(f"--{kind}", action="store_true",
                            help=f"dimension vector(s) of the {kind} module(s)")
-    dims_p.add_argument("--vertex", default=None, help="restrict to one vertex (by name)")
+    dims_p.add_argument("--vertex", default=None,
+                        help="restrict the dimension vectors to one vertex (by name)")
 
     forms_p = sub.add_parser("forms", parents=[common],
                              help="evaluate the Euler or symmetrized bilinear form")

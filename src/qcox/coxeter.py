@@ -259,16 +259,16 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
     matrix; C^-1 comes from ``algebra.cartan_inverse``.
     """
+    if method not in ("reflections", "cartan"):
+        raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
     if cartan is None:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
         return cartan.transpose() * -cartan_inverse(bq, cartan)
-    if method == "reflections":
-        numbering = admissible_numbering(bq.quiver)
-        form = symmetric_form_matrix(cartan, cartan_inverse(bq, cartan))
-        return PolyMatrix._make(_reflection_product(
-            numbering, lambda v: _gamma_row(form, v), PolyMatrix.identity(form.n).rows))
-    raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
+    numbering = admissible_numbering(bq.quiver)
+    form = symmetric_form_matrix(cartan, cartan_inverse(bq, cartan))
+    return PolyMatrix._make(_reflection_product(
+        numbering, lambda v: _gamma_row(form, v), PolyMatrix.identity(form.n).rows))
 
 
 def euler_form(cartan: PolyMatrix, x, y,

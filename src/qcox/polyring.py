@@ -101,11 +101,6 @@ class Polynomial:
             return cls._make([value])
         raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -359,10 +354,6 @@ class PolyMatrix:
             return NotImplemented
         self._check_order(other)
         return PolyMatrix._make([row_combination(row, other.rows) for row in self.rows])
-
-    def scaled(self, factor) -> "PolyMatrix":
-        f = Polynomial.coerce(factor)
-        return PolyMatrix._make([[f * a for a in row] for row in self.rows])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])

@@ -22,12 +22,15 @@ Grammar::
     term      ::= (RATIONAL "*")? NAME ("*" NAME)*
 
 ``#`` starts a comment running to end of line.  Names are words of
-letters, digits and underscores.  Path composition is left to right:
-``a*b`` traverses a, then b, and requires the target of a to equal the
-source of b.  A rational coefficient is written like ``3/2`` or ``-1``; a
-bare path has coefficient 1.  A term starting with a number-shaped token
-followed by ``*`` is read as a coefficient; write ``1*2*a`` to start a
-path with an arrow literally named ``2``.
+letters, digits and underscores.  Each line (as ``str.splitlines`` splits
+the text) is tokenized by one regular-expression scan; any other
+non-whitespace character is a syntax error at its line and column.  Path
+composition is left to right: ``a*b`` traverses a, then b, and requires
+the target of a to equal the source of b.  A rational coefficient is
+written like ``3/2`` or ``-1``; a bare path has coefficient 1.  A term
+starting with a number-shaped token followed by ``*`` is read as a
+coefficient; write ``1*2*a`` to start a path with an arrow literally
+named ``2``.
 
 The order of the ``vertices:`` list fixes matrix row and column indexing
 everywhere downstream; nothing re-sorts it.
@@ -43,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import QuiverSyntaxError, ValidationError
 from .polyring import format_rational, parse_rational
@@ -184,19 +187,6 @@ class Path:
     def trivial(cls, vertex: int) -> "Path":
         return cls((), vertex, vertex)
 
-    @classmethod
-    def from_arrows(cls, quiver: Quiver, arrow_indices: Sequence[int]) -> "Path":
-        if not arrow_indices:
-            raise ValueError("positive-length path needs at least one arrow")
-        arrows = [quiver.arrows[i] for i in arrow_indices]
-        for a, b in zip(arrows, arrows[1:]):
-            if a.target != b.source:
-                raise ValidationError(
-                    "NonComposable",
-                    f"arrow {a.name!r} ends at {quiver.vertices[a.target]!r} but "
-                    f"{b.name!r} starts at {quiver.vertices[b.source]!r}")
-        return cls(tuple(arrow_indices), arrows[0].source, arrows[-1].target)
-
     def names(self, quiver: Quiver) -> list[str]:
         return [quiver.arrows[i].name for i in self.arrows]
 
@@ -311,59 +301,43 @@ def _relation_issues(q: Quiver, idx: int, rel: Relation) -> Iterable[RelationIss
 
 # --- text format -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|[{}:;,*+\-]|[A-Za-z0-9_]+(?:/[0-9]+)?")
+# a token, or any other non-space character, which is an error
+_TOKEN_RE = re.compile(r"(->|[{}:;,*+\-]|[A-Za-z0-9_]+(?:/[0-9]+)?)|\S")
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?\Z")
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line, col):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """(text, line, column) of every token, by one scan per line."""
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            ch = body[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(body, pos)
-            if not m:
-                raise QuiverSyntaxError(f"unexpected character {ch!r}", lineno, pos + 1)
-            tokens.append(_Token(m.group(), lineno, m.start() + 1))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            if m[1] is None:
+                raise QuiverSyntaxError(f"unexpected character {m[0]!r}", lineno, m.start() + 1)
+            tokens.append((m[1], lineno, m.start() + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, int, int]]):
         self.tokens = tokens
         self.pos = 0
 
     def _error(self, message: str):
         if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            raise QuiverSyntaxError(message, t.line, t.col)
-        last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-        raise QuiverSyntaxError(message + " (at end of input)", last.line, last.col)
+            _, line, col = self.tokens[self.pos]
+            raise QuiverSyntaxError(message, line, col)
+        _, line, col = self.tokens[-1] if self.tokens else ("", 1, 1)
+        raise QuiverSyntaxError(message + " (at end of input)", line, col)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self) -> str:
         if self.pos >= len(self.tokens):
             self._error("unexpected end of input")
-        t = self.tokens[self.pos]
         self.pos += 1
-        return t.text
+        return self.tokens[self.pos - 1][0]
 
     def expect(self, text: str) -> None:
         if self.peek() != text:
@@ -439,12 +413,12 @@ class _Parser:
         return sign * coeff, path
 
     def _next_is_star(self) -> bool:
-        return self.pos + 1 < len(self.tokens) and self.tokens[self.pos + 1].text == "*"
+        return self.pos + 1 < len(self.tokens) and self.tokens[self.pos + 1][0] == "*"
 
     def _looks_like_coefficient(self) -> bool:
         # "2*a" is coefficient 2 on path a; "1*2*a" forces an arrow named 2
         return self.pos + 2 < len(self.tokens) and \
-            _NAME_RE.match(self.tokens[self.pos + 2].text) is not None
+            _NAME_RE.match(self.tokens[self.pos + 2][0]) is not None
 
 
 def _build(qname, vertex_names, arrow_decls, relation_decls) -> BoundQuiver:

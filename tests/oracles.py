@@ -6,10 +6,13 @@ code paths it is checking.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 
+from qcox.algebra import iter_paths_by_degree
+from qcox.errors import QuiverSyntaxError, ValidationError
 from qcox.polyring import Polynomial, PolyMatrix, parse_rational, poly_vector, row_combination
 from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
 
@@ -248,7 +251,7 @@ def _bound_quiver(n, arrow_pairs, relations, name):
     (coeff, [arrow indices])."""
     quiver = Quiver(tuple(str(v) for v in range(n)),
                     tuple(Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(arrow_pairs)))
-    rels = tuple(Relation(tuple((Fraction(c), Path.from_arrows(quiver, m)) for c, m in rel))
+    rels = tuple(Relation(tuple((Fraction(c), path_from_arrows(quiver, m)) for c, m in rel))
                  for rel in relations)
     return BoundQuiver(quiver, rels, name=name)
 
@@ -425,7 +428,68 @@ def unpack(v: int, w: int) -> Polynomial:
     return Polynomial(cs)
 
 
+# --- per-character tokenizer --------------------------------------------------
+
+_TOKEN_AT = re.compile(r"->|[{}:;,*+\-]|[A-Za-z0-9_]+(?:/[0-9]+)?")
+
+
+def tokenize_per_character(text: str) -> list[tuple[str, int, int]]:
+    """(text, line, column) of every token of the quiver language: each
+    line up to its ``#`` is walked one character at a time, skipping
+    ``str.isspace`` characters and matching one token at each other one."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        pos = 0
+        while pos < len(body):
+            ch = body[pos]
+            if ch.isspace():
+                pos += 1
+                continue
+            m = _TOKEN_AT.match(body, pos)
+            if not m:
+                raise QuiverSyntaxError(f"unexpected character {ch!r}", lineno, pos + 1)
+            tokens.append((m.group(), lineno, m.start() + 1))
+            pos = m.end()
+    return tokens
+
+
 # --- test-only views of library objects -------------------------------------
+
+def degree(p: Polynomial) -> int:
+    """Degree; -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def scaled(m: PolyMatrix, factor) -> PolyMatrix:
+    """factor * M, entry by entry."""
+    f = Polynomial.coerce(factor)
+    return PolyMatrix([[f * a for a in row] for row in m.rows])
+
+
+def path_from_arrows(quiver, arrow_indices) -> Path:
+    """The path along the given arrows; ValidationError if two consecutive
+    arrows do not compose."""
+    if not arrow_indices:
+        raise ValueError("positive-length path needs at least one arrow")
+    arrows = [quiver.arrows[i] for i in arrow_indices]
+    for a, b in zip(arrows, arrows[1:]):
+        if a.target != b.source:
+            raise ValidationError(
+                "NonComposable",
+                f"arrow {a.name!r} ends at {quiver.vertices[a.target]!r} but "
+                f"{b.name!r} starts at {quiver.vertices[b.source]!r}")
+    return Path(tuple(arrow_indices), arrows[0].source, arrows[-1].target)
+
+
+def enumerate_paths(quiver, source: int, target: int, length: int) -> list[Path]:
+    """All length-d paths source -> target, in the order of
+    ``algebra.iter_paths_by_degree`` (lexicographic in arrow indices)."""
+    if length < 0:
+        raise ValueError("path length must be non-negative")
+    paths = next(islice(iter_paths_by_degree(quiver), length, None))
+    return [p for p in paths if p.source == source and p.target == target]
+
 
 def matrix_json_obj(m: PolyMatrix) -> dict:
     """The object whose ``json.dumps(obj, indent=2)`` ``cli.render_matrix``

@@ -20,7 +20,8 @@ from qcox.quiverdsl import BoundQuiver, parse_quiver
 
 from oracles import (classical_cartan_by_path_counts, frac_inverse, frac_mul,
                      frac_neg, frac_transpose, gauss_rank, is_identity,
-                     is_lower_unitriangular, mul_vector, naive_graded_dims, permuted)
+                     is_lower_unitriangular, mul_vector, naive_graded_dims, permuted,
+                     scaled)
 
 
 def P(*coeffs):
@@ -164,7 +165,7 @@ def test_criterion_5_reflection_relations(suite2):
                 else:
                     m_q = Polynomial([0, 0, counts[i][j] * counts[j][i]])
                     left = refl[i] * refl[j] * refl[i] - refl[j] * refl[i] * refl[j]
-                    ok = ok and left == (refl[i] - refl[j]).scaled(m_q - ONE)
+                    ok = ok and left == scaled(refl[i] - refl[j], m_q - ONE)
         gram = gram_matrix(quiver)
         for s in refl:
             ok = ok and s.transpose() * gram * s == gram

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, cartan_inverse, cartan_matrix,
-                          cartan_det_check, dim_vector, enumerate_paths, graded_dims)
+                          dim_vector, graded_dims)
 from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded, NotUnimodular
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import (classical_cartan_by_path_counts, det_permutation_sum, dim, exterior,
-                     exterior_dims, is_identity, koszul_inverse, mul_vector, naive_degree_dims,
-                     naive_graded_dims, preprojective, preprojective_dims,
+from oracles import (classical_cartan_by_path_counts, det_permutation_sum, dim, enumerate_paths,
+                     exterior, exterior_dims, is_identity, koszul_inverse, mul_vector,
+                     naive_degree_dims, naive_graded_dims, preprojective, preprojective_dims,
                      random_cyclic_bound_quiver, total_at, truncated, truncated_dims)
 
 
@@ -106,6 +106,17 @@ def test_degree_cap_exceeded_on_unbounded_cycle():
         graded_dims(bq, degree_cap=10)
 
 
+def test_dim_vector_checks_the_kind_before_the_cartan_matrix():
+    # the graded dimensions of a 2-cycle never end: a bad kind is reported
+    # as such, not as the degree cap of the Cartan matrix
+    bq = BoundQuiver(Quiver(("1", "2"), (Arrow("u", 0, 1), Arrow("v", 1, 0))))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        dim_vector(bq, "bogus", 0)
+    assert dim_vector(bq, "simple", 1) == (P(0), P(1))
+    with pytest.raises(DegreeCapExceeded):
+        dim_vector(bq, "projective", 0, degree_cap=8)
+
+
 def test_cartan_golden_three_cycle(three_cycle):
     c = cartan_matrix(three_cycle)
     assert c == PolyMatrix([[P(1, 0, 1), P(0, 1), P(0)],
@@ -148,17 +159,11 @@ def test_dim_vector_rows_and_columns_match_cartan(double_arrow_chain):
 
 
 def test_cartan_det_check(three_cycle, two_vertex_cyclic):
-    check = cartan_det_check(two_vertex_cyclic)
-    assert check.det == 1 and check.unimodular
-
-    from qcox.quiverdsl import BoundQuiver, Quiver
-    single = BoundQuiver(Quiver(("1",), ()))
-    assert cartan_det_check(single).det == 1
-
-    check3 = cartan_det_check(three_cycle)
-    oracle = det_permutation_sum(cartan_matrix(three_cycle))
-    assert check3.det == oracle
-    assert check3.unimodular == (oracle == 1 or oracle == -1)
+    assert cartan_matrix(two_vertex_cyclic).det() == 1
+    assert cartan_matrix(BoundQuiver(Quiver(("1",), ()))).det() == 1
+    for bq in (three_cycle, two_vertex_cyclic):
+        c = cartan_matrix(bq)
+        assert c.det() == det_permutation_sum(c)
 
 
 def test_relation_free_cartan_counts_paths():

@@ -218,6 +218,28 @@ def test_dims_projective_vector(qv, capsys):
     assert out.strip() == "P(1): (1, 2q, q^2)"
 
 
+def test_dims_resolves_the_vertex_before_computing(qv, capsys):
+    # the graded dimensions of a 2-cycle never end: an unknown vertex is
+    # reported as such, not as the degree cap of the Cartan matrix
+    path = qv("loop2.qv", TWO_CYCLE_TEXT)
+    code, out, err = run_cli(capsys, "dims", path, "--projective", "--vertex=zz")
+    assert (code, out) == (2, "")
+    assert err == "error: ValidationError: UnknownVertex: no vertex named 'zz'\n"
+    code, out, err = run_cli(capsys, "dims", path, "--simple", "--vertex=zz")
+    assert (code, out) == (2, "")
+    assert "UnknownVertex" in err
+
+
+def test_dims_vertex_needs_a_kind(qv, capsys):
+    message = "error: ValueError: --vertex needs --simple, --projective or --injective\n"
+    for name, text in (("a3.qv", A3_TEXT), ("loop2.qv", TWO_CYCLE_TEXT)):
+        path = qv(name, text)
+        for vertex in ("1", "zz"):
+            assert run_cli(capsys, "dims", path, f"--vertex={vertex}") == (2, "", message)
+    code, out, _ = run_cli(capsys, "dims", qv("a3.qv", A3_TEXT), "--simple", "--vertex=1")
+    assert (code, out) == (0, "S(1): (1, 0, 0)\n")
+
+
 def test_dims_all_kinds_json(qv, capsys):
     path = qv("tv.qv", TWO_VERTEX_CYCLIC_TEXT)
     code, out, _ = run_cli(capsys, "dims", path, "--injective", "--format=json")

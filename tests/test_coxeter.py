@@ -14,13 +14,13 @@ from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congru
                           graph_reflection, gram_matrix, quadratic_form_graph,
                           sigma_reflect, symmetric_euler_form,
                           symmetric_form_matrix, verify_identities)
-from qcox.errors import LoopAtVertex, NotAcyclic, NotUnimodular
+from qcox.errors import DegreeCapExceeded, LoopAtVertex, NotAcyclic, NotUnimodular
 from qcox.polyring import ONE, Polynomial, PolyMatrix, pack
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, is_identity,
-                     is_symmetric, mul_vector, naive_matmul)
+                     is_symmetric, mul_vector, naive_matmul, scaled)
 
 
 def P(*coeffs):
@@ -149,7 +149,7 @@ def test_reflection_relations_prop():
                 else:
                     m_q = Polynomial([0, 0, counts[i][j] * counts[j][i]])
                     left = refl[i] * refl[j] * refl[i] - refl[j] * refl[i] * refl[j]
-                    assert left == (refl[i] - refl[j]).scaled(m_q - ONE)
+                    assert left == scaled(refl[i] - refl[j], m_q - ONE)
 
 
 # --- bilinear and quadratic forms -----------------------------------------------
@@ -226,7 +226,7 @@ def test_symmetric_form_matrix_goldens():
     assert form == PolyMatrix([[P(2), P(0, -2), q2],
                                [P(0, -2), P(2), -q],
                                [q2, -q, P(2)]])
-    assert symmetric_form_matrix(PolyMatrix.identity(3)) == PolyMatrix.identity(3).scaled(2)
+    assert symmetric_form_matrix(PolyMatrix.identity(3)) == scaled(PolyMatrix.identity(3), 2)
     with pytest.raises(NotUnimodular):
         symmetric_form_matrix(PolyMatrix([[2]]))
 
@@ -292,6 +292,15 @@ def test_coxeter_matrix_bound_errors():
         coxeter_matrix_bound(DOUBLE_CHAIN, method="magic")
     with pytest.raises(NotUnimodular):
         coxeter_matrix_bound(THREE_CYCLE, method="cartan")
+
+
+def test_coxeter_matrix_bound_checks_the_method_before_the_cartan_matrix():
+    # the graded dimensions of a 2-cycle never end
+    loop2 = BoundQuiver(Quiver(("1", "2"), (Arrow("u", 0, 1), Arrow("v", 1, 0))))
+    with pytest.raises(ValueError, match="method must be"):
+        coxeter_matrix_bound(loop2, method="magic")
+    with pytest.raises(DegreeCapExceeded):
+        coxeter_matrix_bound(loop2, method="cartan", degree_cap=8)
 
 
 def test_gamma_products_do_not_commute_in_general():
@@ -634,7 +643,7 @@ def test_row_local_checks_match_full_matrix_identities(case, data):
     factor = P(-1, 0, counts[i][j] * counts[j][i])
     left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
     assert _braid_holds(eye, packed, i, j, pack(factor, W)) == \
-        (left == (si - sj).scaled(factor))
+        (left == scaled(si - sj, factor))
     gram = PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2)) for b in range(n)]
                        for a in range(n)])
     invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
@@ -643,7 +652,7 @@ def test_row_local_checks_match_full_matrix_identities(case, data):
                         tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
                               for b in range(a + 1, n) for k in range(counts[a][b])))
     gram2 = _double_gram_rows(multigraph)
-    assert gram2 == gram_matrix(multigraph).scaled(2).rows == gram.scaled(2).rows
+    assert gram2 == scaled(gram_matrix(multigraph), 2).rows == scaled(gram, 2).rows
     assert all(type(c) is int for row in gram2 for e in row for c in e.coeffs)
     assert _form_invariant(eye, _pack_rows(gram2, W), i, packed[i]) == invariant
 

@@ -13,11 +13,13 @@ from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quo
                            row_combination,
                            parse_rational, rank_rational, slot_width)
 
-from oracles import (constant_value, det_permutation_sum, gauss_pivot_columns, gauss_rank,
+from oracles import (constant_value, degree, det_permutation_sum, gauss_pivot_columns,
+                     gauss_rank,
                      is_constant, is_identity, is_lower_unitriangular, is_symmetric,
                      koszul_inverse, matrix_from_json_obj, matrix_json_obj, mul_vector,
                      naive_matmul, naive_sink_order, permuted, poly_from_coeff_strings,
-                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, unpack)
+                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, scaled,
+                     unpack)
 
 
 def P(*coeffs):
@@ -55,7 +57,7 @@ def test_polynomial_normalization_and_basics():
     assert P(1, 2, 0, 0).coeffs == (1, 2)
     assert P().is_zero() and P(0, 0).is_zero()
     assert P(0, 1) == Q
-    assert Q.degree == 1 and ZERO.degree == -1
+    assert degree(Q) == 1 and degree(ZERO) == -1
     assert P(5) == 5 and P(5) == Fraction(5)
     assert P(0, 0, 3) != P(3)
 
@@ -69,7 +71,7 @@ def test_polynomial_arithmetic():
     assert -p == P(-1, 0, -1)
     assert 2 * r == P(0, 2)
     assert r * Fraction(1, 2) == P(0, Fraction(1, 2))
-    assert (p * r).degree == p.degree + r.degree
+    assert degree(p * r) == degree(p) + degree(r)
 
 
 def test_polynomial_str():
@@ -103,7 +105,7 @@ def test_quotient():
 def test_quotient_leaves_a_remainder_of_lower_degree(a, b):
     if b.is_zero():
         return
-    assert (a - b * _quotient(a, b)).degree < b.degree
+    assert degree(a - b * _quotient(a, b)) < degree(b)
 
 
 def test_evaluate():
@@ -154,7 +156,7 @@ def test_degree_multiplicative(p, r):
     if p.is_zero() or r.is_zero():
         assert (p * r).is_zero()
     else:
-        assert (p * r).degree == p.degree + r.degree
+        assert degree(p * r) == degree(p) + degree(r)
 
 
 # --- matrices --------------------------------------------------------------
@@ -358,7 +360,7 @@ def test_norm_is_the_largest_row_sum_of_absolute_coefficients():
 def test_mul_vector_and_scaled():
     a = M([[1, Q], [0, 1]])
     assert mul_vector(a, [1, 1]) == (P(1, 1), ONE)
-    assert a.scaled(Q) == M([[Q, Q * Q], [0, Q]])
+    assert scaled(a, Q) == M([[Q, Q * Q], [0, Q]])
     with pytest.raises(ValueError):
         mul_vector(a, [1])
 

@@ -3,15 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcox.errors import QcoxError, QuiverSyntaxError, ValidationError
-from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, emit_json,
+from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, _tokenize, emit_json,
                             emit_text, json_text, load_file, parse_json,
                             parse_json_obj, parse_quiver, validate)
 
-from oracles import naive_sink_order, neighbours, random_cyclic_bound_quiver
+from oracles import (naive_sink_order, neighbours, path_from_arrows,
+                     random_cyclic_bound_quiver, tokenize_per_character)
 
 EXAMPLE_3CYCLE = """
 # three vertices on a line, arrows both ways between neighbours
@@ -225,10 +226,10 @@ def test_arrow_count_matrices():
 def test_path_composition_invariant():
     bq = parse_quiver(EXAMPLE_3CYCLE)
     q = bq.quiver
-    p = Path.from_arrows(q, [0, 2])           # a then b: 1 -> 3
+    p = path_from_arrows(q, [0, 2])           # a then b: 1 -> 3
     assert (p.source, p.target, p.length) == (0, 2, 2)
     with pytest.raises(ValidationError):
-        Path.from_arrows(q, [0, 0])            # a does not end where a starts
+        path_from_arrows(q, [0, 0])            # a does not end where a starts
     assert Path.trivial(1) == Path((), 1, 1)
 
 
@@ -355,6 +356,33 @@ _fuzz_text = st.one_of(
     st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3), st.sampled_from(_TOKENS)),
              min_size=1, max_size=3).map(lambda edits: _mutate(_EXAMPLE_TOKENS, edits)),
 )
+
+
+# line breaks of str.splitlines, other whitespace, comments, tokens and
+# characters that start no token
+_LEXEMES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+            "\u2028", "\u2029", " ", "\t", "\x1f", "\xa0", "\u3000", "#", "->", "-", ">",
+            "/", "1/2", "3/", "/4", "a", "B_1", "quiver", "{", "}", ":", ";", ",", "*", "+",
+            "0", "!", ".", "\"", "\x00", "\u00e9", "\U0001f600")
+
+_lexer_text = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.one_of(st.sampled_from(_LEXEMES), st.characters()), max_size=40).map("".join))
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except QuiverSyntaxError as exc:
+        return exc.line, exc.column, str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_lexer_text)
+@example("a\u2028b\x85 c\r\n!d")
+@example("x # ! \x1c y->z 1/2 1/ é")
+def test_tokenizer_matches_per_character_scan(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_per_character, text)
 
 
 _json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),

@@ -39,3 +39,19 @@ def test_library_imports_only_the_standard_library():
                       if name.split(".")[0] not in sys.stdlib_module_names | {"qcox"}]
     assert SOURCES
     assert found == []
+
+
+def test_public_surface_is_pinned():
+    # a name enters or leaves the top-level API only by editing this list
+    assert sorted(qcox.__all__) == [
+        "Arrow", "BoundQuiver", "CheckReport", "CheckResult", "DegreeCapExceeded",
+        "DimensionBudgetExceeded", "GradedDimTable", "LoopAtVertex", "NotAcyclic",
+        "NotUnimodular", "Path", "PolyMatrix", "Polynomial", "QcoxError", "Quiver",
+        "QuiverSyntaxError", "Rational", "ReflectionMatrix", "Relation", "ValidationError",
+        "ValidationReport", "admissible_numbering", "algebra", "bilinear_form_graph",
+        "cartan_matrix", "coxeter", "coxeter_matrix_bound", "coxeter_matrix_graph",
+        "dim_vector", "emit_json", "emit_text", "errors", "euler_form", "format_rational",
+        "gamma_reflection", "graded_dims", "gram_matrix", "graph_reflection", "load_file",
+        "parse_json", "parse_quiver", "parse_rational", "poly_vector", "polyring",
+        "quadratic_form_graph", "quiverdsl", "sigma_reflect", "symmetric_euler_form",
+        "symmetric_form_matrix", "validate", "verify_identities"]
