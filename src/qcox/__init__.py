@@ -2,7 +2,7 @@
 quivers, with machine verification of the identities relating them."""
 
 from .algebra import GradedDimTable, cartan_matrix, dim_vector, graded_dims
-from .coxeter import (CheckReport, CheckResult, ReflectionMatrix,
+from .coxeter import (CheckReport, CheckResult,
                       admissible_numbering, bilinear_form_graph,
                       coxeter_matrix_bound, coxeter_matrix_graph, euler_form,
                       gamma_reflection, graph_reflection, gram_matrix,

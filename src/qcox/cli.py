@@ -169,7 +169,9 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
                 print(f"{names[i]} -> {names[j]}  degree {d}: {value}")
             print(f"max_degree: {table.max_degree}")
         return 0
-    cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
+    cartan = None
+    if kind != "simple":    # a simple module's vector is a standard basis vector
+        cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
     vertices = range(bq.quiver.n) if vertex is None else [vertex]
     rows = []
     for v in vertices:
@@ -230,12 +232,11 @@ def _cmd_numbering(args, bq: BoundQuiver) -> int:
 
 def _cmd_verify(args, bq: BoundQuiver) -> int:
     limits = {"degree_cap": args.degree_cap, "max_dim": args.max_dim}
-    reports = [("input", coxeter.verify_identities(bq, seed=args.seed, **limits))]
+    reports = [("input", coxeter.verify_identities(bq, **limits))]
     rng = random.Random(args.seed)
     for k in range(args.random):
         extra = random_bound_quiver(rng)
-        reports.append((f"random[{k}]", coxeter.verify_identities(
-            extra, seed=args.seed, **limits)))
+        reports.append((f"random[{k}]", coxeter.verify_identities(extra, **limits)))
     all_passed = all(report.passed for _, report in reports)
     if args.format == "json":
         payload = {"passed": all_passed,
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", parents=[common],
                               help="check every applicable identity, exit 1 on failure")
     verify_p.add_argument("--seed", type=int, default=0,
-                          help="seed for sampled checks and random instances")
+                          help="seed for the --random instances")
     verify_p.add_argument("--random", type=int, default=0, metavar="K",
                           help="also verify K seeded random bound quivers")
 

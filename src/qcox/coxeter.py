@@ -49,7 +49,10 @@ s^T (2G) s at most (1 + m) norm(2G) m, as the column sums of s are at most
 1 + m.  Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), the duality
 vectors are at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), the
 C of a quiver with reversed arrows at most its norm, and the Euler-form
-samples, with entries at most r = 5, at most n r^2 nu(C^-1) phi^2.
+matrices -(C^-1)^T Phi and Phi^T C^-1 Phi at most nu(C^-1) phi^2.  The
+Euler identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y)
+hold for all x, y exactly when C^-1 equals both, so they are checked
+exactly, as two matrix identities.
 ``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms multiply
 once and stay on Polynomial rows, where packing the inputs and unpacking
 the result would cost more than the product.
@@ -57,7 +60,6 @@ the result would cost more than the product.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -91,19 +93,10 @@ def admissible_numbering(quiver: Quiver, prefer_largest: bool = False) -> tuple[
 
 # --- graph reflections ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReflectionMatrix:
-    """A reflection with its acting vertex and flavor ("graph" or "cartan")."""
-
-    matrix: PolyMatrix
-    vertex: int
-    flavor: str
-
-
-def _reflection(row: tuple[Polynomial, ...], i: int, flavor: str) -> ReflectionMatrix:
+def _reflection(row: tuple[Polynomial, ...], i: int) -> PolyMatrix:
     rows = list(PolyMatrix.identity(len(row)).rows)
     rows[i] = row
-    return ReflectionMatrix(PolyMatrix._make(rows), i, flavor)
+    return PolyMatrix._make(rows)
 
 
 def _reflection_product(numbering, row_of, rows, combine=row_combination):
@@ -137,12 +130,12 @@ def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynom
                  for j, c in enumerate(counts[i]))
 
 
-def graph_reflection(quiver: Quiver, i: int) -> ReflectionMatrix:
+def graph_reflection(quiver: Quiver, i: int) -> PolyMatrix:
     """Reflection at vertex i from edge counts; differs from the identity
     only in row i.  Raises LoopAtVertex if i carries a loop."""
     if not 0 <= i < quiver.n:
         raise ValueError(f"vertex index {i} out of range")
-    return _reflection(_graph_row(quiver, quiver.edge_counts(), i), i, "graph")
+    return _reflection(_graph_row(quiver, quiver.edge_counts(), i), i)
 
 
 def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = None) -> PolyMatrix:
@@ -236,14 +229,14 @@ def _gamma_row(form_matrix: PolyMatrix, i: int) -> tuple[Polynomial, ...]:
 
 
 def gamma_reflection(cartan: PolyMatrix, i: int,
-                     form_matrix: PolyMatrix | None = None) -> ReflectionMatrix:
+                     form_matrix: PolyMatrix | None = None) -> PolyMatrix:
     """Cartan reflection at vertex i: e_j maps to e_j - A[i][j] e_i, so the
     matrix differs from the identity only in row i."""
     if form_matrix is None:
         form_matrix = symmetric_form_matrix(cartan)
     if not 0 <= i < form_matrix.n:
         raise ValueError(f"vertex index {i} out of range")
-    return _reflection(_gamma_row(form_matrix, i), i, "cartan")
+    return _reflection(_gamma_row(form_matrix, i), i)
 
 
 def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
@@ -400,35 +393,23 @@ def _two_sided(eye, rows, v: int, row) -> list[list[int]]:
     return [packed_combination(r, s) if r[v] else r for r in sm]
 
 
-def _bilinear(x, rows, y) -> int:
-    # x^T M y for the matrix M with the given packed rows
-    return sum(map(mul, packed_combination(x, rows), y))
-
-
 def _letter_norms(rows) -> tuple[int, int]:
     # (largest, product) of the norms of the reflections with these rows
     norms = [norm([row]) for row in rows]
     return max(norms), prod(norms)
 
 
-# Euler-form samples draw their entries from [-_SAMPLE_MAX, _SAMPLE_MAX]
-_SAMPLE_MAX = 5
+def _euler_form_invariant(inverse_p, phi_rows, phi_columns) -> bool:
+    """X == -X^T Phi == Phi^T X Phi for X = C^-1, on packed rows.  Row i of
+    X^T M is the combination of M's rows that column i of X names, and row
+    i of Phi^T is column i of Phi."""
+    return all(row == packed_combination([-e for e in column], phi_rows)
+               and row == packed_combination(packed_combination(phi_column, inverse_p),
+                                             phi_rows)
+               for row, column, phi_column in zip(inverse_p, zip(*inverse_p), phi_columns))
 
 
-def _euler_sample_holds(rng, inverse_p, phi_columns) -> bool:
-    """x^T C^-1 y == -(Phi y)^T C^-1 x == (Phi x)^T C^-1 (Phi y) for one
-    pair x, y drawn from rng; an int packs to itself."""
-    n = len(inverse_p)
-    x = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
-    y = [rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for _ in range(n)]
-    phi_y = packed_combination(y, phi_columns)
-    direct = _bilinear(x, inverse_p, y)
-    return (direct == -_bilinear(phi_y, inverse_p, x)
-            and direct == _bilinear(packed_combination(x, phi_columns), inverse_p, phi_y))
-
-
-def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
-                      degree_cap: int = DEFAULT_DEGREE_CAP,
+def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                       max_dim: int = DEFAULT_MAX_DIM) -> CheckReport:
     """Verify every applicable identity as an exact polynomial-matrix
     equation; inapplicable ones are reported as skipped with the reason."""
@@ -484,7 +465,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
         gm, gp = _letter_norms(gamma_rows)
         nu_c, nu_inverse = (max(norm(x.rows), norm(zip(*x.rows))) for x in (cartan, inverse))
         phi = nu_c * nu_inverse
-        terms += [gm * gp, nu_c * phi, n * _SAMPLE_MAX ** 2 * nu_inverse * phi * phi]
+        terms += [gm * gp, nu_c * phi, nu_inverse * phi * phi]
     for _, flipped_c, _, flipped_rows in flipped:
         terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows),
                   _letter_norms(flipped_rows)[1]]
@@ -513,7 +494,6 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                      if form.entry(i, j).is_zero()]
     why["involutive"] = "" if involutive else "no vertex with diagonal form entry 2"
     why["commuting"] = "" if commuting else "no vertex pair with vanishing form entry"
-    rng = random.Random(seed)
 
     # (identity, hypotheses, check[, failure reason]) in report order; a
     # check runs only when every hypothesis holds
@@ -554,7 +534,7 @@ def verify_identities(bq: BoundQuiver, samples: int = 10, seed: int = 0,
                      for projective, injective in zip(cartan_p, zip(*cartan_p))),
          "projective vector differs from -Phi * injective vector"),
         ("euler_form_coxeter", ("inverse",),
-         lambda: all(_euler_sample_holds(rng, inverse_p, phi_columns) for _ in range(samples))),
+         lambda: _euler_form_invariant(inverse_p, phi_cartan, phi_columns)),
     )
 
     def outcome(hypotheses, check, why_fail="") -> tuple[str, str]:

@@ -240,17 +240,6 @@ class ValidationReport:
         codes.extend(issue.code for issue in self.relation_issues)
         return codes
 
-    def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "connected": self.connected,
-            "acyclic": self.acyclic,
-            "loop_arrows": list(self.loop_arrows),
-            "relation_issues": [
-                {"relation": i.index, "code": i.code, "message": i.message}
-                for i in self.relation_issues],
-        }
-
 
 def validate(bq: BoundQuiver) -> ValidationReport:
     """Check every bound-quiver invariant, returning a report instead of raising.

@@ -230,6 +230,13 @@ def test_dims_resolves_the_vertex_before_computing(qv, capsys):
     assert "UnknownVertex" in err
 
 
+def test_dims_simple_needs_no_cartan_matrix(qv, capsys):
+    # a simple module's vector is a standard basis vector, so --simple
+    # answers even where the graded dimensions never end
+    code, out, err = run_cli(capsys, "dims", qv("loop2.qv", TWO_CYCLE_TEXT), "--simple")
+    assert (code, out, err) == (0, "S(1): (1, 0)\nS(2): (0, 1)\n", "")
+
+
 def test_dims_vertex_needs_a_kind(qv, capsys):
     message = "error: ValueError: --vertex needs --simple, --projective or --injective\n"
     for name, text in (("a3.qv", A3_TEXT), ("loop2.qv", TWO_CYCLE_TEXT)):
@@ -390,7 +397,7 @@ def test_verify_exit_1_on_failing_check(qv, capsys, monkeypatch):
     from qcox.coxeter import CheckReport, CheckResult
     import qcox.cli as cli_module
 
-    def fake_verify(bq, samples=10, seed=0, degree_cap=64, max_dim=None):
+    def fake_verify(bq, degree_cap=64, max_dim=None):
         return CheckReport((CheckResult("reflection_involution", "fail", "forced"),))
 
     monkeypatch.setattr(cli_module.coxeter, "verify_identities", fake_verify)

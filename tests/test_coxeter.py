@@ -1,26 +1,28 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcox.algebra import cartan_matrix
+from qcox.algebra import cartan_inverse, cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
-                          _double_gram_rows, _form_invariant, _involution_holds,
-                          _pack_rows, _two_sided,
+                          _double_gram_rows, _euler_form_invariant, _form_invariant,
+                          _involution_holds, _pack_rows, _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
                           sigma_reflect, symmetric_euler_form,
                           symmetric_form_matrix, verify_identities)
 from qcox.errors import DegreeCapExceeded, LoopAtVertex, NotAcyclic, NotUnimodular
-from qcox.polyring import ONE, Polynomial, PolyMatrix, pack
+from qcox.polyring import ONE, Polynomial, PolyMatrix, pack, slot_width
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, is_identity,
-                     is_symmetric, mul_vector, naive_matmul, scaled)
+                     is_symmetric, mul_vector, naive_matmul, random_cyclic_bound_quiver,
+                     scaled)
 
 
 def P(*coeffs):
@@ -94,18 +96,18 @@ def test_numbering_prefix_is_always_a_sink_chain():
 # --- graph reflections ---------------------------------------------------------
 
 def test_graph_reflection_goldens():
-    s1 = graph_reflection(A3, 0).matrix
-    s2 = graph_reflection(A3, 1).matrix
-    s3 = graph_reflection(A3, 2).matrix
+    s1 = graph_reflection(A3, 0)
+    s2 = graph_reflection(A3, 1)
+    s3 = graph_reflection(A3, 2)
     q = P(0, 1)
     assert s1 == PolyMatrix([[-ONE, q, 0], [0, 1, 0], [0, 0, 1]])
     assert s2 == PolyMatrix([[1, 0, 0], [q, -ONE, q], [0, 0, 1]])
     assert s3 == PolyMatrix([[1, 0, 0], [0, 1, 0], [0, q, -ONE]])
 
-    kron = graph_reflection(KRONECKER, 0).matrix
+    kron = graph_reflection(KRONECKER, 0)
     assert kron == PolyMatrix([[-ONE, P(0, 2)], [0, 1]])
 
-    single = graph_reflection(Quiver(("1",), ()), 0).matrix
+    single = graph_reflection(Quiver(("1",), ()), 0)
     assert single == PolyMatrix([[-ONE]])
 
 
@@ -139,7 +141,7 @@ def test_reflection_relations_prop():
     for quiver in (A3, KRONECKER):
         n = quiver.n
         counts = quiver.edge_counts()
-        refl = [graph_reflection(quiver, i).matrix for i in range(n)]
+        refl = [graph_reflection(quiver, i) for i in range(n)]
         for s in refl:
             assert is_identity(s * s)
         for i in range(n):
@@ -194,7 +196,7 @@ def test_form_invariance_under_reflections():
     for quiver in (A3, KRONECKER):
         gram = gram_matrix(quiver)
         for i in range(quiver.n):
-            s = graph_reflection(quiver, i).matrix
+            s = graph_reflection(quiver, i)
             assert s.transpose() * gram * s == gram
 
 
@@ -247,12 +249,12 @@ def test_symmetric_form_matrix_relation_free():
 def test_gamma_reflection_goldens():
     c = cartan_matrix(DOUBLE_CHAIN)
     q, q2 = P(0, 1), P(0, 0, 1)
-    g1 = gamma_reflection(c, 0).matrix
-    g3 = gamma_reflection(c, 2).matrix
+    g1 = gamma_reflection(c, 0)
+    g3 = gamma_reflection(c, 2)
     assert g1 == PolyMatrix([[-ONE, P(0, 2), -q2], [0, 1, 0], [0, 0, 1]])
     assert g3 == PolyMatrix([[1, 0, 0], [0, 1, 0], [-q2, q, -ONE]])
     for i in range(3):
-        g = gamma_reflection(PolyMatrix.identity(3), i).matrix
+        g = gamma_reflection(PolyMatrix.identity(3), i)
         expected = [[P(-1 if r == c_ == i else int(r == c_)) for c_ in range(3)]
                     for r in range(3)]
         assert g == PolyMatrix(expected)
@@ -264,7 +266,7 @@ def test_gamma_matches_graph_reflection_without_relations():
         quiver = random_acyclic_quiver(rng)
         c = cartan_matrix(BoundQuiver(quiver))
         for i in range(quiver.n):
-            assert gamma_reflection(c, i).matrix == graph_reflection(quiver, i).matrix
+            assert gamma_reflection(c, i) == graph_reflection(quiver, i)
 
 
 def test_coxeter_matrix_bound_goldens():
@@ -305,8 +307,8 @@ def test_coxeter_matrix_bound_checks_the_method_before_the_cartan_matrix():
 
 def test_gamma_products_do_not_commute_in_general():
     c = cartan_matrix(DOUBLE_CHAIN)
-    g1 = gamma_reflection(c, 0).matrix
-    g3 = gamma_reflection(c, 2).matrix
+    g1 = gamma_reflection(c, 0)
+    g3 = gamma_reflection(c, 2)
     assert g1 * g3 != g3 * g1          # vertices 1 and 3 are not even neighbours
 
 
@@ -315,7 +317,7 @@ def test_reflection_product_order_golden():
     c = cartan_matrix(DOUBLE_CHAIN)
     order = admissible_numbering(DOUBLE_CHAIN.quiver)
     assert order == (2, 1, 0)
-    gammas = [gamma_reflection(c, i).matrix for i in range(3)]
+    gammas = [gamma_reflection(c, i) for i in range(3)]
     product = gammas[2] * gammas[1] * gammas[0]
     assert product == coxeter_matrix_bound(DOUBLE_CHAIN, method="reflections")
 
@@ -381,7 +383,7 @@ def test_sink_reflection_theorems_random():
         c = cartan_matrix(BoundQuiver(quiver))
         phi = coxeter_matrix_graph(quiver)
         for i in quiver.sinks():
-            s = graph_reflection(quiver, i).matrix
+            s = graph_reflection(quiver, i)
             flipped = sigma_reflect(quiver, i)
             assert cartan_matrix(BoundQuiver(flipped)) == s * c * s.transpose()
             assert coxeter_matrix_graph(flipped) == s * phi * s
@@ -566,7 +568,7 @@ def test_coxeter_specialization_golden_a3():
 
 def test_graph_reflection_isolated_vertex():
     star = Quiver(("1", "2", "3"), (Arrow("a", 0, 1),))
-    s = graph_reflection(star, 2).matrix
+    s = graph_reflection(star, 2)
     assert s == PolyMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -ONE]])
 
 
@@ -576,7 +578,7 @@ def test_gamma_lemma_conditions_random():
         bq = random_bound_quiver(rng)
         c = cartan_matrix(bq)
         form = symmetric_form_matrix(c)
-        gammas = [gamma_reflection(c, i, form).matrix for i in range(c.n)]
+        gammas = [gamma_reflection(c, i, form) for i in range(c.n)]
         for i in range(c.n):
             if form.entry(i, i) == 2:
                 assert is_identity(gammas[i] * gammas[i])
@@ -728,10 +730,14 @@ def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_
         assert idx(report)["form_invariance"] == ("fail", "")
 
 
-def _corrupt_first_row(inverse: PolyMatrix) -> PolyMatrix:
-    rows = [list(row) for row in inverse.rows]
-    rows[0][1] = rows[0][1] + P(0, 1)
+def _with_q_added(m: PolyMatrix, i: int, j: int) -> PolyMatrix:
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = rows[i][j] + P(0, 1)
     return PolyMatrix(rows)
+
+
+def _corrupt_first_row(inverse: PolyMatrix) -> PolyMatrix:
+    return _with_q_added(inverse, 0, 1)
 
 
 def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
@@ -763,3 +769,58 @@ def test_verify_identities_fails_on_a_corrupted_elimination_inverse(monkeypatch)
     assert report["projective_injective_duality"] == (
         "fail", "projective vector differs from -Phi * injective vector")
     assert report["euler_form_coxeter"] == ("fail", "")
+
+
+# --- the exact Euler-form check ---------------------------------------------------
+
+def _parallel_chain(counts):
+    """Relation-free chain 1 -> 2 -> ... with counts[k] parallel arrows
+    from vertex k + 1 to vertex k + 2."""
+    return BoundQuiver(Quiver(tuple(str(v + 1) for v in range(len(counts) + 1)),
+                              tuple(Arrow(f"a{k}_{m}", k, k + 1)
+                                    for k, c in enumerate(counts) for m in range(c))))
+
+
+def test_euler_form_invariant_matches_matrix_products():
+    # X == -X^T Phi and X == Phi^T X Phi with Phi = -C^T X, against
+    # PolyMatrix products, for the true C^-1, for one with an entry changed
+    # (both identities fail) and for -C^-1 (only the second holds)
+    rng = random.Random(83)
+    quivers = [random_bound_quiver(rng) for _ in range(15)]
+    quivers += [random_cyclic_bound_quiver(rng) for _ in range(300)]
+    quivers += [_parallel_chain(c) for c in ((1,), (2,), (3, 1), (1, 2, 2), (2, 1, 3, 1))]
+    outcomes = Counter()
+    cyclic = 0
+    for bq in quivers:
+        c = cartan_matrix(bq)
+        try:
+            inverse = cartan_inverse(bq, c)
+        except NotUnimodular:
+            continue
+        cyclic += not bq.quiver.is_acyclic()
+        n = c.n
+        changed = _with_q_added(inverse, rng.randrange(n), rng.randrange(n))
+        for label, x in (("true", inverse), ("changed", changed), ("negated", -inverse)):
+            phi = c.transpose() * -x
+            sides = (-(x.transpose() * phi), phi.transpose() * x * phi)
+            # the elimination inverse keeps integer coefficients as Fractions
+            w = slot_width(int(max(abs(k) for m in (x, *sides)
+                                   for row in m.rows for e in row for k in e.coeffs)))
+            x_p, phi_p = _pack_rows(x.rows, w), _pack_rows(phi.rows, w)
+            holds = tuple(side == x for side in sides)
+            assert _euler_form_invariant(x_p, phi_p, [list(col) for col in zip(*phi_p)]) \
+                == all(holds)
+            outcomes[label, holds] += 1
+    assert cyclic >= 10
+    assert set(outcomes) == {("true", (True, True)), ("changed", (False, False)),
+                             ("negated", (False, True))}
+    assert min(outcomes.values()) >= 30
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(3)])
+def test_euler_form_check_fails_on_any_corrupted_inverse_entry(monkeypatch, i, j):
+    import qcox.coxeter as coxeter_module
+    original = coxeter_module.cartan_inverse
+    monkeypatch.setattr(coxeter_module, "cartan_inverse",
+                        lambda bq, cartan: _with_q_added(original(bq, cartan), i, j))
+    assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("fail", "")

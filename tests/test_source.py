@@ -41,13 +41,25 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_only_the_generator_and_the_cli_import_random():
+    # a verifier report is a pure function of its input: only the random
+    # quiver generator and the CLI's --random instances draw random numbers
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name not in ("randquiver.py", "cli.py")
+             for node in _nodes(path)
+             if (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "random")]
+    assert SOURCES
+    assert found == []
+
+
 def test_public_surface_is_pinned():
     # a name enters or leaves the top-level API only by editing this list
     assert sorted(qcox.__all__) == [
         "Arrow", "BoundQuiver", "CheckReport", "CheckResult", "DegreeCapExceeded",
         "DimensionBudgetExceeded", "GradedDimTable", "LoopAtVertex", "NotAcyclic",
         "NotUnimodular", "Path", "PolyMatrix", "Polynomial", "QcoxError", "Quiver",
-        "QuiverSyntaxError", "Rational", "ReflectionMatrix", "Relation", "ValidationError",
+        "QuiverSyntaxError", "Rational", "Relation", "ValidationError",
         "ValidationReport", "admissible_numbering", "algebra", "bilinear_form_graph",
         "cartan_matrix", "coxeter", "coxeter_matrix_bound", "coxeter_matrix_graph",
         "dim_vector", "emit_json", "emit_text", "errors", "euler_form", "format_rational",
