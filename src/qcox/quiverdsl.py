@@ -21,10 +21,14 @@ Grammar::
     reldecl   ::= term (("+"|"-") term)* ";"
     term      ::= (RATIONAL "*")? NAME ("*" NAME)*
 
-``#`` starts a comment running to end of line.  Names are words of
-letters, digits and underscores.  Each line (as ``str.splitlines`` splits
-the text) is tokenized by one regular-expression scan; any other
-non-whitespace character is a syntax error at its line and column.  Path
+``#`` starts a comment running to the next line break (any break that
+``str.splitlines`` splits at).  Names are words of letters, digits and
+underscores; any other non-whitespace character is a syntax error.  The
+text is scanned once: one regular expression strips the comments and one
+``findall`` gives the token strings, without positions.  Only when the
+scan meets a bad character or the parser an unexpected token does
+``_tokenize`` scan the text again, line by line, to give the error its line
+and column, so a file that parses pays nothing for positions.  Path
 composition is left to right: ``a*b`` traverses a, then b, and requires
 the target of a to equal the source of b.  A rational coefficient is
 written like ``3/2`` or ``-1``; a bare path has coefficient 1.  A term
@@ -264,13 +268,14 @@ def _relation_issues(q: Quiver, idx: int, rel: Relation) -> Iterable[RelationIss
     if not rel.terms:
         yield RelationIssue(idx, "EmptyRelation", "relation has no terms")
         return
+    arrows = q.arrows
     for coeff, path in rel.terms:
         if coeff == 0:
             yield RelationIssue(idx, "ZeroCoefficient", "term with coefficient 0")
         for a, b in zip(path.arrows, path.arrows[1:]):
-            if q.arrows[a].target != q.arrows[b].source:
+            if arrows[a].target != arrows[b].source:
                 yield RelationIssue(idx, "NonComposable",
-                                    f"arrows {q.arrows[a].name!r} and {q.arrows[b].name!r} do not compose")
+                                    f"arrows {arrows[a].name!r} and {arrows[b].name!r} do not compose")
     lengths = {path.length for _, path in rel.terms}
     if len(lengths) > 1:
         yield RelationIssue(idx, "NonHomogeneous",
@@ -292,8 +297,12 @@ def _relation_issues(q: Quiver, idx: int, rel: Relation) -> Iterable[RelationIss
 
 # a token, or any other non-space character, which is an error
 _TOKEN_RE = re.compile(r"(->|[{}:;,*+\-]|[A-Za-z0-9_]+(?:/[0-9]+)?)|\S")
+# a comment ends at every line break of str.splitlines
+_COMMENT_RE = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?\Z")
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -308,47 +317,44 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
+    """Recursive descent over the token strings, which end in a ``None``
+    sentinel.  Token positions are looked up only to raise an error."""
+
+    def __init__(self, text: str, tokens: list[str]):
+        self.text = text
+        self.tokens = tokens + [None]
         self.pos = 0
 
     def _error(self, message: str):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
+        positions = _tokenize(self.text)
+        if self.pos < len(positions):
+            _, line, col = positions[self.pos]
             raise QuiverSyntaxError(message, line, col)
-        _, line, col = self.tokens[-1] if self.tokens else ("", 1, 1)
+        _, line, col = positions[-1]
         raise QuiverSyntaxError(message + " (at end of input)", line, col)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        if self.pos >= len(self.tokens):
-            self._error("unexpected end of input")
-        self.pos += 1
-        return self.tokens[self.pos - 1][0]
-
     def expect(self, text: str) -> None:
-        if self.peek() != text:
+        if self.tokens[self.pos] != text:
             self._error(f"expected {text!r}")
         self.pos += 1
 
     def name(self, what: str) -> str:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t is None or not _NAME_RE.match(t):
             self._error(f"expected {what}")
         self.pos += 1
         return t
 
     def parse(self) -> BoundQuiver:
+        tokens = self.tokens
         self.expect("quiver")
         qname = self.name("quiver name")
         self.expect("{")
         self.expect("vertices")
         self.expect(":")
         vertices = [self.name("vertex name")]
-        while self.peek() == ",":
-            self.take()
+        while tokens[self.pos] == ",":
+            self.pos += 1
             vertices.append(self.name("vertex name"))
         self.expect(";")
         self.expect("arrows")
@@ -362,52 +368,56 @@ class _Parser:
             dst = self.name("target vertex")
             self.expect(";")
             arrows.append((aname, src, dst))
-            nxt = self.peek()
-            if nxt in ("relations", "}") or nxt is None:
+            if tokens[self.pos] in ("relations", "}", None):
                 break
         relations = []
-        if self.peek() == "relations":
-            self.take()
+        if tokens[self.pos] == "relations":
+            self.pos += 1
             self.expect(":")
-            while self.peek() not in ("}", None):
-                relations.append(self._reldecl())
+            declared = {aname for aname, _, _ in arrows}
+            while tokens[self.pos] not in ("}", None):
+                relations.append(self._reldecl(declared))
         self.expect("}")
-        if self.pos != len(self.tokens):
+        if tokens[self.pos] is not None:
             self._error("trailing input after closing '}'")
         return _build(qname, vertices, arrows, relations)
 
-    def _reldecl(self) -> list[tuple[Fraction, list[str]]]:
-        terms = [self._term(leading_sign=True)]
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            coeff, path = self._term(leading_sign=False)
-            terms.append((sign * coeff, path))
+    def _reldecl(self, declared: set[str]) -> list[tuple[Fraction, list[str]]]:
+        tokens, pos = self.tokens, self.pos
+        terms = []
+        t = tokens[pos]
+        while True:
+            # the first term's sign is optional; every later term has one
+            negative = t == "-"
+            if negative or t == "+":
+                pos += 1
+                t = tokens[pos]
+            # "2*a" is coefficient 2 on path a; "1*2*a" is path 2*a
+            if t is not None and tokens[pos + 1] == "*" and _RATIONAL_RE.match(t):
+                coeff = -parse_rational(t) if negative else parse_rational(t)
+                pos += 2
+                t = tokens[pos]
+            else:
+                coeff = _MINUS_ONE if negative else _ONE
+            path = []
+            while True:
+                # a declared arrow is a name; only other tokens need the test
+                if t not in declared and (t is None or not _NAME_RE.match(t)):
+                    self.pos = pos
+                    self._error("expected arrow name")
+                path.append(t)
+                pos += 1
+                t = tokens[pos]
+                if t != "*":
+                    break
+                pos += 1
+                t = tokens[pos]
+            terms.append((coeff, path))
+            if t != "+" and t != "-":
+                break
+        self.pos = pos
         self.expect(";")
         return terms
-
-    def _term(self, leading_sign: bool) -> tuple[Fraction, list[str]]:
-        sign = 1
-        if leading_sign and self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        coeff = Fraction(1)
-        t = self.peek()
-        if t is not None and _RATIONAL_RE.match(t) and self._next_is_star() and \
-                (("/" in t) or self._looks_like_coefficient()):
-            coeff = parse_rational(self.take())
-            self.expect("*")
-        path = [self.name("arrow name")]
-        while self.peek() == "*":
-            self.take()
-            path.append(self.name("arrow name"))
-        return sign * coeff, path
-
-    def _next_is_star(self) -> bool:
-        return self.pos + 1 < len(self.tokens) and self.tokens[self.pos + 1][0] == "*"
-
-    def _looks_like_coefficient(self) -> bool:
-        # "2*a" is coefficient 2 on path a; "1*2*a" forces an arrow named 2
-        return self.pos + 2 < len(self.tokens) and \
-            _NAME_RE.match(self.tokens[self.pos + 2][0]) is not None
 
 
 def _build(qname, vertex_names, arrow_decls, relation_decls) -> BoundQuiver:
@@ -424,13 +434,20 @@ def _build(qname, vertex_names, arrow_decls, relation_decls) -> BoundQuiver:
             raise ValidationError("UnknownVertex", f"arrow {aname!r} uses unknown vertex {dst!r}")
         arrows.append(Arrow(aname, vidx[src], vidx[dst]))
     quiver = Quiver(tuple(vertex_names), tuple(arrows))
+    index = quiver._arrow_index
+    sources = [a.source for a in arrows]
+    targets = [a.target for a in arrows]
+    # composition problems are reported by validate(), not raised here
     relations = []
     for decl in relation_decls:
         terms = []
         for coeff, arrow_names in decl:
-            indices = [quiver.arrow_index(nm) for nm in arrow_names]
-            path = _path_unchecked(quiver, indices)
-            terms.append((coeff, path))
+            try:
+                indices = tuple([index[nm] for nm in arrow_names])
+            except KeyError:
+                # raises UnknownArrow at the first unknown name
+                indices = tuple([quiver.arrow_index(nm) for nm in arrow_names])
+            terms.append((coeff, Path(indices, sources[indices[0]], targets[indices[-1]])))
         relations.append(Relation(tuple(terms)))
     bq = BoundQuiver(quiver, tuple(relations), name=qname)
     report = validate(bq)
@@ -440,18 +457,14 @@ def _build(qname, vertex_names, arrow_decls, relation_decls) -> BoundQuiver:
     return bq
 
 
-def _path_unchecked(quiver: Quiver, indices: list[int]) -> Path:
-    # composition problems are reported by validate(), not raised here
-    arrows = [quiver.arrows[i] for i in indices]
-    return Path(tuple(indices), arrows[0].source, arrows[-1].target)
-
-
 def parse_quiver(text: str) -> BoundQuiver:
     """Parse quiver description text into a validated bound quiver."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
+    if "" in tokens:
+        _tokenize(text)     # raises at the first character that starts no token
     if not tokens:
         raise QuiverSyntaxError("empty input", 1, 1)
-    return _Parser(tokens).parse()
+    return _Parser(text, tokens).parse()
 
 
 def emit_text(bq: BoundQuiver) -> str:
@@ -548,17 +561,31 @@ def _json(obj, newline: str) -> str:
 
 
 def parse_json_obj(obj: dict) -> BoundQuiver:
+    """The bound quiver of a JSON object; every name must be one that the
+    text format can write (ints are read as their decimal names)."""
     try:
-        vertices = [str(v) for v in obj["vertices"]]
+        vertices = [str(v) for v in _json_list(obj["vertices"], "vertices")]
         arrow_decls = [(str(a["name"]), str(a["source"]), str(a["target"]))
-                       for a in obj["arrows"]]
-        relation_decls = [[(parse_rational(str(t["coeff"])), [str(p) for p in t["path"]])
-                           for t in rel] for rel in obj.get("relations", [])]
+                       for a in _json_list(obj["arrows"], "arrows")]
+        relation_decls = [[(parse_rational(str(t["coeff"])),
+                            [str(p) for p in _json_list(t["path"], "a path")])
+                           for t in _json_list(rel, "a relation")]
+                          for rel in _json_list(obj.get("relations", []), "relations")]
+        qname = str(obj.get("name", "Q"))
     except (KeyError, TypeError) as exc:
         raise ValidationError("BadSchema", f"malformed quiver JSON: {exc}") from exc
     if any(not path for rel in relation_decls for _, path in rel):
         raise ValidationError("BadSchema", "malformed quiver JSON: a relation term has an empty path")
-    return _build(str(obj.get("name", "Q")), vertices, arrow_decls, relation_decls)
+    for name in (qname, *vertices, *(aname for aname, _, _ in arrow_decls)):
+        if not _NAME_RE.match(name):
+            raise ValidationError("BadSchema", f"malformed quiver JSON: {name!r} is not a name")
+    return _build(qname, vertices, arrow_decls, relation_decls)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError("BadSchema", f"malformed quiver JSON: {what} is not a list")
+    return value
 
 
 def parse_json(text: str) -> BoundQuiver:

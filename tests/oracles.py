@@ -14,7 +14,7 @@ from math import comb
 from qcox.algebra import iter_paths_by_degree
 from qcox.errors import QuiverSyntaxError, ValidationError
 from qcox.polyring import Polynomial, PolyMatrix, parse_rational, poly_vector, row_combination
-from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
+from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation, validate
 
 
 def perm_sign(perm) -> int:
@@ -452,6 +452,160 @@ def tokenize_per_character(text: str) -> list[tuple[str, int, int]]:
             tokens.append((m.group(), lineno, m.start() + 1))
             pos = m.end()
     return tokens
+
+
+# --- token-tuple parser -------------------------------------------------------
+
+_REF_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_REF_RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?\Z")
+
+
+class _ReferenceParser:
+    """Recursive descent over ``(text, line, column)`` tokens, one method
+    call per token; reads positions from the token it fails at."""
+
+    def __init__(self, tokens: list[tuple[str, int, int]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def _error(self, message: str):
+        if self.pos < len(self.tokens):
+            _, line, col = self.tokens[self.pos]
+            raise QuiverSyntaxError(message, line, col)
+        _, line, col = self.tokens[-1]
+        raise QuiverSyntaxError(message + " (at end of input)", line, col)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        if self.pos >= len(self.tokens):
+            self._error("unexpected end of input")
+        self.pos += 1
+        return self.tokens[self.pos - 1][0]
+
+    def expect(self, text: str) -> None:
+        if self.peek() != text:
+            self._error(f"expected {text!r}")
+        self.pos += 1
+
+    def name(self, what: str) -> str:
+        t = self.peek()
+        if t is None or not _REF_NAME_RE.match(t):
+            self._error(f"expected {what}")
+        self.pos += 1
+        return t
+
+    def parse(self) -> BoundQuiver:
+        self.expect("quiver")
+        qname = self.name("quiver name")
+        self.expect("{")
+        self.expect("vertices")
+        self.expect(":")
+        vertices = [self.name("vertex name")]
+        while self.peek() == ",":
+            self.take()
+            vertices.append(self.name("vertex name"))
+        self.expect(";")
+        self.expect("arrows")
+        self.expect(":")
+        arrows = []
+        while True:
+            aname = self.name("arrow name")
+            self.expect(":")
+            src = self.name("source vertex")
+            self.expect("->")
+            dst = self.name("target vertex")
+            self.expect(";")
+            arrows.append((aname, src, dst))
+            nxt = self.peek()
+            if nxt in ("relations", "}") or nxt is None:
+                break
+        relations = []
+        if self.peek() == "relations":
+            self.take()
+            self.expect(":")
+            while self.peek() not in ("}", None):
+                relations.append(self._reldecl())
+        self.expect("}")
+        if self.pos != len(self.tokens):
+            self._error("trailing input after closing '}'")
+        return _reference_build(qname, vertices, arrows, relations)
+
+    def _reldecl(self) -> list[tuple[Fraction, list[str]]]:
+        terms = [self._term(leading_sign=True)]
+        while self.peek() in ("+", "-"):
+            sign = -1 if self.take() == "-" else 1
+            coeff, path = self._term(leading_sign=False)
+            terms.append((sign * coeff, path))
+        self.expect(";")
+        return terms
+
+    def _term(self, leading_sign: bool) -> tuple[Fraction, list[str]]:
+        sign = 1
+        if leading_sign and self.peek() in ("+", "-"):
+            sign = -1 if self.take() == "-" else 1
+        coeff = Fraction(1)
+        t = self.peek()
+        if t is not None and _REF_RATIONAL_RE.match(t) and self._next_is_star() and \
+                (("/" in t) or self._looks_like_coefficient()):
+            coeff = parse_rational(self.take())
+            self.expect("*")
+        path = [self.name("arrow name")]
+        while self.peek() == "*":
+            self.take()
+            path.append(self.name("arrow name"))
+        return sign * coeff, path
+
+    def _next_is_star(self) -> bool:
+        return self.pos + 1 < len(self.tokens) and self.tokens[self.pos + 1][0] == "*"
+
+    def _looks_like_coefficient(self) -> bool:
+        # "2*a" is coefficient 2 on path a; "1*2*a" forces an arrow named 2
+        return self.pos + 2 < len(self.tokens) and \
+            _REF_NAME_RE.match(self.tokens[self.pos + 2][0]) is not None
+
+
+def _reference_build(qname, vertex_names, arrow_decls, relation_decls) -> BoundQuiver:
+    vidx = {}
+    for v in vertex_names:
+        if v in vidx:
+            raise ValidationError("DuplicateVertex", f"vertex {v!r} declared twice")
+        vidx[v] = len(vidx)
+    arrows = []
+    for aname, src, dst in arrow_decls:
+        if src not in vidx:
+            raise ValidationError("UnknownVertex", f"arrow {aname!r} uses unknown vertex {src!r}")
+        if dst not in vidx:
+            raise ValidationError("UnknownVertex", f"arrow {aname!r} uses unknown vertex {dst!r}")
+        arrows.append(Arrow(aname, vidx[src], vidx[dst]))
+    quiver = Quiver(tuple(vertex_names), tuple(arrows))
+    relations = []
+    for decl in relation_decls:
+        terms = []
+        for coeff, arrow_names in decl:
+            # composition problems are reported by validate(), not raised here
+            indices = [quiver.arrow_index(nm) for nm in arrow_names]
+            path = Path(tuple(indices), quiver.arrows[indices[0]].source,
+                        quiver.arrows[indices[-1]].target)
+            terms.append((coeff, path))
+        relations.append(Relation(tuple(terms)))
+    bq = BoundQuiver(quiver, tuple(relations), name=qname)
+    report = validate(bq)
+    if not report.passed:
+        code = report.failure_codes()[0]
+        raise ValidationError(code, "; ".join(report.failure_codes()), report)
+    return bq
+
+
+def parse_quiver_reference(text: str) -> BoundQuiver:
+    """``quiverdsl.parse_quiver`` as a parser over positioned tokens: the
+    whole text is tokenized with positions first, and every token is read
+    through ``peek``/``take``."""
+    tokens = tokenize_per_character(text)
+    if not tokens:
+        raise QuiverSyntaxError("empty input", 1, 1)
+    return _ReferenceParser(tokens).parse()
 
 
 # --- test-only views of library objects -------------------------------------

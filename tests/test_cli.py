@@ -348,6 +348,15 @@ def test_reflect_rejects_relations(qv, capsys):
     assert "HasRelations" in err
 
 
+def test_reflect_rejects_json_names_the_text_format_cannot_write(qv, capsys):
+    # reflect writes .qv text; "2.0" and "a b" would not parse back
+    path = qv("bad.json", json.dumps({"vertices": [1, "2.0"], "arrows": [
+        {"name": "a b", "source": 1, "target": "2.0"}]}))
+    code, out, err = run_cli(capsys, "reflect", path, "--vertex=1")
+    assert (code, out) == (2, "")
+    assert err == "error: ValidationError: BadSchema: malformed quiver JSON: '2.0' is not a name\n"
+
+
 def test_numbering(qv, capsys):
     code, out, _ = run_cli(capsys, "numbering", qv("a3.qv", A3_TEXT))
     assert code == 0

@@ -11,7 +11,7 @@ from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, _tokenize, emit_js
                             emit_text, json_text, load_file, parse_json,
                             parse_json_obj, parse_quiver, validate)
 
-from oracles import (naive_sink_order, neighbours, path_from_arrows,
+from oracles import (naive_sink_order, neighbours, parse_quiver_reference, path_from_arrows,
                      random_cyclic_bound_quiver, tokenize_per_character)
 
 EXAMPLE_3CYCLE = """
@@ -260,6 +260,36 @@ def test_json_schema_errors():
     assert info.value.code == "BadSchema"
 
 
+@pytest.mark.parametrize("obj, bad", [
+    ({"vertices": "12", "arrows": []}, "vertices is not a list"),
+    ({"vertices": ["1"], "arrows": {"name": "a", "source": "1", "target": "1"}},
+     "arrows is not a list"),
+    ({"vertices": ["1"], "arrows": [], "relations": "ab"}, "relations is not a list"),
+    ({"vertices": ["1"], "arrows": [], "relations": [{"coeff": "1", "path": ["a"]}]},
+     "a relation is not a list"),
+    ({"vertices": ["1"], "arrows": [{"name": "a", "source": "1", "target": "1"}],
+      "relations": [[{"coeff": "1", "path": "aa"}]]}, "a path is not a list"),
+    ({"name": "my quiver", "vertices": ["1"], "arrows": []}, "'my quiver' is not a name"),
+    ({"vertices": [1, "2.0"], "arrows": [{"name": "a", "source": 1, "target": "2.0"}]},
+     "'2.0' is not a name"),
+    ({"vertices": [1, -2], "arrows": []}, "'-2' is not a name"),
+    ({"vertices": [1, 2], "arrows": [{"name": "a b", "source": 1, "target": 2}]},
+     "'a b' is not a name"),
+])
+def test_json_rejects_what_the_text_format_cannot_write(obj, bad):
+    with pytest.raises(ValidationError) as info:
+        parse_json_obj(obj)
+    assert info.value.code == "BadSchema"
+    assert str(info.value) == f"BadSchema: malformed quiver JSON: {bad}"
+
+
+def test_json_reads_int_names():
+    bq = parse_json_obj({"name": 7, "vertices": [1, 2],
+                         "arrows": [{"name": 3, "source": 1, "target": 2}]})
+    assert (bq.name, bq.quiver.vertices, bq.quiver.arrows) == ("7", ("1", "2"), (Arrow("3", 0, 1),))
+    assert parse_quiver(emit_text(bq)) == bq
+
+
 def test_empty_vertex_list_rejected():
     with pytest.raises(ValidationError) as info:
         parse_json_obj({"vertices": [], "arrows": []})
@@ -360,10 +390,12 @@ _fuzz_text = st.one_of(
 
 # line breaks of str.splitlines, other whitespace, comments, tokens and
 # characters that start no token
-_LEXEMES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-            "\u2028", "\u2029", " ", "\t", "\x1f", "\xa0", "\u3000", "#", "->", "-", ">",
-            "/", "1/2", "3/", "/4", "a", "B_1", "quiver", "{", "}", ":", ";", ",", "*", "+",
-            "0", "!", ".", "\"", "\x00", "\u00e9", "\U0001f600")
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029")
+_LEXEMES = _LINE_BREAKS + (
+    " ", "\t", "\x1f", "\xa0", "\u3000", "#", "->", "-", ">", "/", "1/2", "3/", "/4", "a",
+    "B_1", "quiver", "{", "}", ":", ";", ",", "*", "+", "0", "!", ".", "\"", "\x00", "\u00e9",
+    "\U0001f600")
 
 _lexer_text = st.one_of(
     st.text(max_size=60),
@@ -383,6 +415,78 @@ def _tokens_or_error(tokenize, text):
 @example("x # ! \x1c y->z 1/2 1/ é")
 def test_tokenizer_matches_per_character_scan(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_per_character, text)
+
+
+def _parse_outcome(parse, text):
+    """The bound quiver and its name, or the error's type, text and position."""
+    try:
+        bq = parse(text)
+    except (QcoxError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None),
+                getattr(exc, "code", None))
+    assert all(type(coeff) is Fraction for rel in bq.relations for coeff, _ in rel.terms)
+    return bq, bq.name
+
+
+def _random_quiver_text(seed, edits):
+    from qcox.randquiver import random_bound_quiver
+    text = emit_text(random_bound_quiver(random.Random(seed)))
+    return _mutate(text.split(), edits) if edits else text
+
+
+def _with_comment_examples(test):
+    # a comment ends at each line break; the second line either completes
+    # the file or leaves trailing input whose position is on line 3
+    for br in _LINE_BREAKS:
+        for tail in ("", " ;"):
+            test = example("quiver Q { # } ;" + br + " vertices: 1; arrows: a: 1 -> 1; # ! x"
+                           + br + "}" + tail)(test)
+    return test
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_fuzz_text, _lexer_text, st.builds(
+    _random_quiver_text, st.integers(0, 2 ** 32),
+    st.lists(st.tuples(st.integers(0, 200), st.integers(0, 3), st.sampled_from(_TOKENS)),
+             max_size=2))))
+@_with_comment_examples
+@example("quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a*z*w; }")
+@example("quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a*a - 2*; }")
+def test_parse_quiver_matches_reference_parser(text):
+    assert _parse_outcome(parse_quiver, text) == _parse_outcome(parse_quiver_reference, text)
+
+
+def test_valid_input_reads_no_token_positions(monkeypatch):
+    import qcox.quiverdsl as quiverdsl
+    words = ["*".join("xy"[(k >> i) & 1] for i in range(8)) for k in range(256)]
+    lines = [f"  {k % 5 + 1}/3*{w} - {words[(k + 1) % 256]};  # relation {k}"
+             for k, w in enumerate(words)]
+    text = ("quiver big {\n  vertices: 1;\n  arrows: x: 1 -> 1; y: 1 -> 1;\n  relations:\n"
+            + "\n".join(lines) + "\n}\n")
+    expected = parse_quiver_reference(text)
+
+    def no_positions(text):
+        raise AssertionError("token positions read while parsing valid input")
+
+    monkeypatch.setattr(quiverdsl, "_tokenize", no_positions)
+    bq = parse_quiver(text)
+    assert len(bq.relations) == 256
+    assert (bq, bq.name) == (expected, expected.name)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("quiver Q {\n  vertices: 1;\n  arrows: a: 1 -> 1;\n  relations: a*a - 2*;\n}",
+     "expected arrow name", 4, 22),
+    ("quiver Q { vertices: 1; arrows: a: 1 -> 1;\n relations: a*a # no ';'\n",
+     "expected ';' (at end of input)", 2, 15),
+    ("quiver Q { vertices: 1; arrows: a: 1 -> 1; }\n\t} # extra",
+     "trailing input after closing '}'", 2, 2),
+])
+def test_syntax_error_positions_are_pinned(text, message, line, column):
+    with pytest.raises(QuiverSyntaxError) as info:
+        parse_quiver(text)
+    assert (str(info.value), info.value.line, info.value.column) == \
+        (f"line {line}, col {column}: {message}", line, column)
 
 
 _json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),

@@ -67,3 +67,21 @@ def test_public_surface_is_pinned():
         "parse_json", "parse_quiver", "parse_rational", "poly_vector", "polyring",
         "quadratic_form_graph", "quiverdsl", "sigma_reflect", "symmetric_euler_form",
         "symmetric_form_matrix", "validate", "verify_identities"]
+
+
+def test_regexes_are_compiled_at_module_level():
+    # a pattern given to ``re`` inside a function is compiled, or looked up
+    # in ``re``'s cache, on every call; each regex is a module constant
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "re"}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"}
+    assert SOURCES
+    assert sorted(found) == []
