@@ -31,10 +31,24 @@ skipped with the reason of the first failing one; otherwise it passes or
 fails.  C^-1 is ``algebra.cartan_inverse`` (E - q * arrow counts without
 relations), and projective_injective_duality certifies it: for the X used,
 Phi = -C^T X, and -Phi C = C^T holds exactly when X C = E, as C^T is
-invertible.  Identities between reflections, and the sink checks s C s^T
-and s Phi s, are built on the shared rows of the identity matrix, so only
-the rows the reflections change are computed and compared.  Form
-invariance is checked on the integer form 2G.
+invertible.  It is checked as C^T (X C) == C^T, with X C formed first, so
+both products read only the nonzero entries of X and of X C.
+
+Identities between reflections at one or two vertices are decided from
+their rows alone.  The reflection at v is s_v = E + e_v u_v^T, with u_v its
+row v minus e_v, and x u_v^T = 0 exactly when x = 0 or u_v = 0, as Z[q] is
+a domain.  With the braid factor f = c_ij c_ji q^2 - 1,
+x_v = row_v[v] + u_ij u_ji - f, and k = G e_v + (G_vv / 2) u_v for G
+symmetric:
+
+* s_i s_i - E = (2 + u_ii) e_i u_i^T;
+* s_i s_j - s_j s_i = u_ij e_i u_j^T - u_ji e_j u_i^T;
+* s_i s_j s_i - s_j s_i s_j - f (s_i - s_j) = x_i e_i u_i^T - x_j e_j u_j^T;
+* s_v^T G s_v - G = u_v k^T + k u_v^T, which is 0 exactly when u_v or k is.
+
+The numbering words, and the sink checks s C s^T and s Phi s, are built on
+the shared rows of the identity matrix, so only the rows the reflections
+change are computed and compared.
 
 Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
@@ -42,17 +56,17 @@ compares integers, which is exact when every compared coefficient is at
 most B in absolute value and w = slot_width(B).  B comes once per call
 from the input norms: ``norm`` (the max row sum) is submultiplicative, and
 so is nu(X) = max(norm(X), norm(X^T)), which also bounds X^T.  With m and
-p the largest and the product of the reflections' norms, a word checked
-has norm at most m p (each letter once, or one twice), s Phi s at most
-m^2 p, the braid sides at most 2 m p and (1 + c_ij c_ji)(1 + m), and
-s^T (2G) s at most (1 + m) norm(2G) m, as the column sums of s are at most
-1 + m.  Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), the duality
-vectors are at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), the
-C of a quiver with reversed arrows at most its norm, and the Euler-form
-matrices -(C^-1)^T Phi and Phi^T C^-1 Phi at most nu(C^-1) phi^2.  The
-Euler identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y)
-hold for all x, y exactly when C^-1 equals both, so they are checked
-exactly, as two matrix identities.
+p the largest and the product of the reflections' norms, a numbering word
+has norm at most p (each letter once) and s Phi s at most m^2 p.
+Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), X C is at most phi
+and C^T (X C) at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), as
+the column sums of s are at most 1 + m, the C of a quiver with reversed
+arrows at most its norm, and the Euler-form matrices -(C^-1)^T Phi and
+Phi^T C^-1 Phi at most nu(C^-1) phi^2.  The row predicates above compare
+Polynomials and need no bound.  The Euler identities
+x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y) hold for all x, y
+exactly when C^-1 equals both, so they are checked exactly, as two matrix
+identities.
 ``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms multiply
 once and stay on Polynomial rows, where packing the inputs and unpacking
 the result would cost more than the product.
@@ -62,8 +76,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import prod
-from operator import mul, sub
+from operator import mul
 
 from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_inverse, cartan_matrix
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
@@ -312,11 +327,43 @@ class CheckReport:
                 for c in self.checks]
 
 
-# Each identity between reflections is checked on packed rows of E: ``eye``
-# is E's packed rows and refl_rows[v] is packed row v of the reflection s_v
-# at v.  A word in reflections at the vertices V equals E outside the rows
-# in V, and those rows are the same objects of eye on both sides of an
-# identity, so comparing the whole matrices costs what the changed rows cost.
+# Reflection identities decided on rows, by the closed forms of the module docstring
+
+def _unit(row, v: int) -> bool:
+    """row == e_v, that is, u_v = 0."""
+    return row[v] == 1 and not any(row[:v]) and not any(row[v + 1:])
+
+
+def _involution_holds(rows, i: int) -> bool:
+    """s_i s_i == E."""
+    return rows[i][i] == -1 or _unit(rows[i], i)
+
+
+def _commutation_holds(rows, i: int, j: int) -> bool:
+    """s_i s_j == s_j s_i, for i != j."""
+    return ((not rows[i][j] or _unit(rows[j], j))
+            and (not rows[j][i] or _unit(rows[i], i)))
+
+
+def _braid_holds(rows, i: int, j: int, factor: Polynomial) -> bool:
+    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j), for i != j."""
+    cross = rows[i][j] * rows[j][i] - factor
+    return all(not (rows[v][v] + cross) or _unit(rows[v], v) for v in (i, j))
+
+
+def _form_invariant(gram_row, v: int, row) -> bool:
+    """s^T G s == G for the reflection s at v whose row v is row, G symmetric
+    with row v gram_row; reads the entries where gram_row or u_v is nonzero."""
+    if _unit(row, v):
+        return True
+    u = list(row)
+    u[v] = u[v] - ONE
+    return all(not (gram_row[k] + gram_row[k] + gram_row[v] * u[k])
+               for k in {*compress(count(), gram_row), *compress(count(), u)})
+
+
+# Packed words: ``eye`` is E's packed rows and refl_rows[v] is packed row v
+# of the reflection at v.  A word at the vertices V shares eye's rows outside V.
 
 def _word(eye, refl_rows, *vertices) -> list[list[int]]:
     # the rightmost reflection times E is that reflection: E with one row replaced
@@ -324,54 +371,6 @@ def _word(eye, refl_rows, *vertices) -> list[list[int]]:
     rows = list(eye)
     rows[last] = refl_rows[last]
     return _reflection_product(rest, refl_rows.__getitem__, rows, packed_combination)
-
-
-def _involution_holds(eye, refl_rows, i: int) -> bool:
-    """s_i s_i == E."""
-    return _word(eye, refl_rows, i, i) == eye
-
-
-def _commutation_holds(eye, refl_rows, i: int, j: int) -> bool:
-    """s_i s_j == s_j s_i."""
-    return _word(eye, refl_rows, i, j) == _word(eye, refl_rows, j, i)
-
-
-def _braid_holds(eye, refl_rows, i: int, j: int, factor: int) -> bool:
-    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j), factor packed."""
-    zero = [0] * len(eye)
-
-    def minus(a, b):
-        # a row that a and b share is the zero row of the difference
-        return [zero if x is y else list(map(sub, x, y)) for x, y in zip(a, b)]
-
-    left = minus(_word(eye, refl_rows, i, j, i), _word(eye, refl_rows, j, i, j))
-    right = [row if row is zero else [factor * e for e in row]
-             for row in minus(_word(eye, refl_rows, i), _word(eye, refl_rows, j))]
-    return left == right
-
-
-def _double_gram_rows(quiver: Quiver) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of 2G = 2E - q * (edge counts), the graph form with int
-    coefficients; s^T (2G) s == 2G exactly when s^T G s == G."""
-    counts = quiver.edge_counts()
-    return tuple(tuple(Polynomial._make([2 if i == j else 0, -c]) for j, c in enumerate(row))
-                 for i, row in enumerate(counts))
-
-
-def _form_invariant(eye, gram_rows, v: int, row) -> bool:
-    """s^T G s == G for the reflection s at v whose row v is row, packed.
-
-    With s = E + e_v u^T, G s differs from G only in the rows m with
-    G[m][v] != 0, and s^T M from M only in the rows k with u_k != 0; the
-    other rows are G's own row objects on both sides.
-    """
-    s = list(eye)
-    s[v] = row
-    gs = [packed_combination(g, s) if g[v] else g for g in gram_rows]
-    # row k of s^T is column k of s
-    sgs = [packed_combination([r[k] for r in s], gs) if row[k] != eye[v][k] else gs[k]
-           for k in range(len(row))]
-    return sgs == gram_rows
 
 
 def _congruent(rows, v: int, row) -> list[list[int]]:
@@ -455,17 +454,15 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     terms = [1]
     if acyclic:
         graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
-        gram_rows = _double_gram_rows(quiver)
+        gram = gram_matrix(quiver).rows
         m, p = _letter_norms(graph_rows)
-        braid = 1 + max(counts[i][j] * counts[j][i] for i in range(n) for j in range(n))
-        terms.append(m * (m + 1) * max(p * braid, norm(gram_rows)))
+        terms.append(m * m * p)
     if not why["inverse"]:
         form = symmetric_form_matrix(cartan, inverse)
         gamma_rows = [_gamma_row(form, i) for i in range(n)]
-        gm, gp = _letter_norms(gamma_rows)
         nu_c, nu_inverse = (max(norm(x.rows), norm(zip(*x.rows))) for x in (cartan, inverse))
         phi = nu_c * nu_inverse
-        terms += [gm * gp, nu_c * phi, nu_inverse * phi * phi]
+        terms += [_letter_norms(gamma_rows)[1], nu_c * phi, nu_inverse * phi * phi]
     for _, flipped_c, _, flipped_rows in flipped:
         terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows),
                   _letter_norms(flipped_rows)[1]]
@@ -474,7 +471,6 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
 
     if acyclic:
         graph_p = _pack_rows(graph_rows, w)
-        gram_p = _pack_rows(gram_rows, w)
         phi_graph = _word(eye, graph_p, *first)
     involutive = commuting = ()
     if not why["inverse"]:
@@ -487,6 +483,7 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         phi_columns = [packed_combination([-e for e in column], cartan_p)
                        for column in zip(*inverse_p)]
         phi_cartan = [list(row) for row in zip(*phi_columns)]
+        xc = [packed_combination(row, cartan_p) for row in inverse_p]
         gamma_p = _pack_rows(gamma_rows, w)
         gamma_first = _word(eye, gamma_p, *first) if acyclic else None
         involutive = [i for i in range(n) if form.entry(i, i) == 2]
@@ -499,16 +496,17 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     # check runs only when every hypothesis holds
     table = (
         ("reflection_involution", ("acyclic",),
-         lambda: all(_involution_holds(eye, graph_p, i) for i in range(n))),
+         lambda: all(_involution_holds(graph_rows, i) for i in range(n))),
         ("reflection_commutation", ("acyclic",),
-         lambda: all(_commutation_holds(eye, graph_p, i, j)
+         lambda: all(_commutation_holds(graph_rows, i, j)
                      for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0)),
-        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2, packed
+        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2
         ("reflection_braid", ("acyclic",),
-         lambda: all(_braid_holds(eye, graph_p, i, j, (counts[i][j] * counts[j][i] << 2 * w) - 1)
+         lambda: all(_braid_holds(graph_rows, i, j,
+                                  Polynomial._make([-1, 0, counts[i][j] * counts[j][i]]))
                      for i in range(n) for j in range(i + 1, n) if counts[i][j])),
         ("form_invariance", ("acyclic",),
-         lambda: all(_form_invariant(eye, gram_p, i, graph_p[i]) for i in range(n))),
+         lambda: all(_form_invariant(gram[i], i, graph_rows[i]) for i in range(n))),
         ("coxeter_numbering_independence", ("acyclic", "two_numberings"),
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
@@ -520,18 +518,18 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                      _word(eye, _pack_rows(rows, w), *numbering)
                      for i, _, numbering, rows in flipped)),
         ("gamma_involution", ("inverse", "involutive"),
-         lambda: all(_involution_holds(eye, gamma_p, i) for i in involutive)),
+         lambda: all(_involution_holds(gamma_rows, i) for i in involutive)),
         ("gamma_commutation", ("inverse", "commuting"),
-         lambda: all(_commutation_holds(eye, gamma_p, i, j) for i, j in commuting)),
+         lambda: all(_commutation_holds(gamma_rows, i, j) for i, j in commuting)),
         ("gamma_coxeter_vs_cartan", ("inverse", "acyclic"), lambda: gamma_first == phi_cartan),
         ("gamma_numbering_independence", ("inverse", "acyclic", "two_numberings"),
          lambda: _word(eye, gamma_p, *second) == gamma_first),
-        # Phi v is the combination of Phi's columns that v names.  The
-        # projective and injective vectors (dim_vector) are C's rows and columns.
+        # C's rows and columns are the projective and injective vectors
+        # (dim_vector): Phi C == -C^T is C^T (X C) == C^T, whose row i is the
+        # combination of X C's rows that column i of C names
         ("projective_injective_duality", ("inverse",),
-         lambda: all(not any(a + b for a, b in zip(projective,
-                                                   packed_combination(injective, phi_columns)))
-                     for projective, injective in zip(cartan_p, zip(*cartan_p))),
+         lambda: all(packed_combination(column, xc) == list(column)
+                     for column in zip(*cartan_p)),
          "projective vector differs from -Phi * injective vector"),
         ("euler_form_coxeter", ("inverse",),
          lambda: _euler_form_invariant(inverse_p, phi_cartan, phi_columns)),

@@ -368,7 +368,11 @@ class _Parser:
             dst = self.name("target vertex")
             self.expect(";")
             arrows.append((aname, src, dst))
-            if tokens[self.pos] in ("relations", "}", None):
+            # "relations" ends the arrows unless "relations: x ->" declares
+            # one; no relation contains "->"
+            t = tokens[self.pos]
+            if t is None or t == "}" or (t == "relations"
+                                         and tokens[self.pos + 3:self.pos + 4] != ["->"]):
                 break
         relations = []
         if tokens[self.pos] == "relations":

@@ -519,7 +519,10 @@ class _ReferenceParser:
             self.expect(";")
             arrows.append((aname, src, dst))
             nxt = self.peek()
-            if nxt in ("relations", "}") or nxt is None:
+            if nxt in ("}", None):
+                break
+            if nxt == "relations" and (self.pos + 3 >= len(self.tokens)
+                                       or self.tokens[self.pos + 3][0] != "->"):
                 break
         relations = []
         if self.peek() == "relations":

@@ -3,13 +3,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcox.algebra import cartan_inverse, cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
-                          _double_gram_rows, _euler_form_invariant, _form_invariant,
-                          _involution_holds, _pack_rows, _two_sided,
+                          _euler_form_invariant, _form_invariant, _involution_holds,
+                          _pack_rows, _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
@@ -593,10 +593,8 @@ _coeff = st.integers(-2, 2)
 _poly = st.lists(_coeff, max_size=3).map(Polynomial)
 # Each row below, and each row of the matrices M, has a |coefficient| sum of
 # at most 40 (at most 5 entries, each at most 2q plus two perturbations of at
-# most 3 coefficients in [-2, 2]).  So every word of at most three letters,
-# the braid factor times two rows, s^T (2G) s, s M s^T and s M s have
-# coefficients far below 2^29: packed values at width 32 compare as their
-# polynomials do.
+# most 3 coefficients in [-2, 2]).  So s M s^T and s M s have coefficients
+# far below 2^29: packed values at width 32 compare as their polynomials do.
 W = 32
 
 
@@ -631,32 +629,37 @@ def _full(n, rows, v):
     return PolyMatrix(full)
 
 
+_ONE_EDGE = [[0, 1], [1, 0]]
+
+
 @settings(max_examples=150, deadline=None)
-@given(reflection_rows(), st.data())
-def test_row_local_checks_match_full_matrix_identities(case, data):
+@given(reflection_rows(), st.integers(0, 4), st.integers(0, 3))
+# row 1 is e_1, so u_1 = 0 while u_01 != 0, and the braid scalars are nonzero
+@example((2, _ONE_EDGE, [(P(-1), P(0, 1)), (P(), P(1))]), 0, 0)
+@example((2, _ONE_EDGE, [(P(-1), P(0, 1)), (P(), P(1))]), 1, 0)
+# both rows are e_v: every identity holds through u_v = 0 alone
+@example((2, _ONE_EDGE, [(P(1), P()), (P(), P(1))]), 0, 0)
+# diagonal entries 1 and 0 in rows that are not e_v
+@example((2, _ONE_EDGE, [(P(1), P(0, 1)), (P(0, 1), P(-1))]), 0, 0)
+@example((2, [[0, 2], [2, 0]], [(P(0, 2), P(-1)), (P(0, 2), P())]), 1, 0)
+def test_row_local_checks_match_full_matrix_identities(case, i, step):
     n, counts, rows = case
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
-    eye, packed = _eye(n), _pack_rows(rows, W)
+    i %= n
+    j = (i + 1 + step % (n - 1)) % n
     si, sj = _full(n, rows, i), _full(n, rows, j)
-    assert _involution_holds(eye, packed, i) == is_identity(naive_matmul(si, si))
-    assert _commutation_holds(eye, packed, i, j) == \
-        (naive_matmul(si, sj) == naive_matmul(sj, si))
+    assert _involution_holds(rows, i) == is_identity(naive_matmul(si, si))
+    assert _commutation_holds(rows, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
     left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
-    assert _braid_holds(eye, packed, i, j, pack(factor, W)) == \
-        (left == scaled(si - sj, factor))
-    gram = PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2)) for b in range(n)]
-                       for a in range(n)])
-    invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
-    # the verifier checks the identity on 2G, whose coefficients are ints
+    assert _braid_holds(rows, i, j, factor) == (left == scaled(si - sj, factor))
     multigraph = Quiver(tuple(str(v) for v in range(n)),
                         tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
                               for b in range(a + 1, n) for k in range(counts[a][b])))
-    gram2 = _double_gram_rows(multigraph)
-    assert gram2 == scaled(gram_matrix(multigraph), 2).rows == scaled(gram, 2).rows
-    assert all(type(c) is int for row in gram2 for e in row for c in e.coeffs)
-    assert _form_invariant(eye, _pack_rows(gram2, W), i, packed[i]) == invariant
+    gram = gram_matrix(multigraph)
+    assert gram == PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2))
+                                for b in range(n)] for a in range(n)])
+    invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
+    assert _form_invariant(gram.rows[i], i, rows[i]) == invariant
 
 
 @settings(max_examples=100, deadline=None)
@@ -675,9 +678,11 @@ def test_sink_conjugates_match_full_matrix_products(case, data):
 
 
 def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
+    # the products the verifier still packs: Phi, the numbering words, X C,
+    # C^T (X C), and per sink s Phi s, s C s^T and the reversed quiver's C and
+    # numbering word
     import qcox.coxeter as coxeter_module
     from qcox.coxeter import _gamma_row, _graph_row, _reflection_product
-    from qcox.polyring import slot_width
     from test_cli_golden import golden_quivers
     bounds = []
     monkeypatch.setattr(coxeter_module, "slot_width", lambda b: bounds.append(b) or slot_width(b))
@@ -692,20 +697,48 @@ def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
         bounds.clear()
         n, counts = quiver.n, quiver.edge_counts()
         c = cartan_matrix(bq)
-        inverse = c.inverse_unimodular()
+        inverse = cartan_inverse(bq, c)
         form = symmetric_form_matrix(c, inverse)
         eye = PolyMatrix.identity(n).rows
-        seen = largest(naive_matmul(c.transpose(), -inverse).rows)
+        phi = naive_matmul(c.transpose(), -inverse)
+        xc = naive_matmul(inverse, c)
+        products = [phi, xc, naive_matmul(c.transpose(), xc)]
+        numberings = [admissible_numbering(quiver), admissible_numbering(quiver, True)]
         for refl in ([_graph_row(quiver, counts, v) for v in range(n)],
                      [_gamma_row(form, v) for v in range(n)]):
-            words = [admissible_numbering(quiver), admissible_numbering(quiver, True)]
-            words += [w for i in range(n) for j in range(n) for w in ((i, j), (i, j, i))]
-            for word in words:
-                seen = max(seen, largest(_reflection_product(word, refl.__getitem__, eye)))
+            products += [_reflection_product(numbering, refl.__getitem__, eye)
+                         for numbering in numberings]
+        for sink in quiver.sinks():
+            s = graph_reflection(quiver, sink)
+            flipped = sigma_reflect(quiver, sink)
+            f_counts = flipped.edge_counts()
+            f_rows = [_graph_row(flipped, f_counts, v) for v in range(n)]
+            products += [naive_matmul(naive_matmul(s, phi), s),
+                         naive_matmul(naive_matmul(s, c), s.transpose()),
+                         cartan_matrix(BoundQuiver(flipped)),
+                         _reflection_product(admissible_numbering(flipped),
+                                             f_rows.__getitem__, eye)]
+        seen = max(largest(m.rows if isinstance(m, PolyMatrix) else m) for m in products)
         assert seen <= bound
         # the proved bound is far above the true coefficients, yet the width
         # stays at most 64 bits on these inputs
         assert slot_width(bound) <= 64
+
+
+def test_verifier_packed_products_grow_linearly_on_chains(monkeypatch):
+    # the pair checks read rows instead of multiplying words, and the duality
+    # check forms X C once: packed row combinations grow with n, not n^2
+    import qcox.coxeter as coxeter_module
+    calls = []
+    original = coxeter_module.packed_combination
+    monkeypatch.setattr(coxeter_module, "packed_combination",
+                        lambda *args: calls.append(1) or original(*args))
+    made = []
+    for n in (20, 40):
+        assert verify_identities(_parallel_chain([1] * (n - 1))).passed
+        made.append(len(calls))
+        calls.clear()
+    assert made[1] <= 2 * made[0]
 
 
 @pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),

@@ -344,6 +344,57 @@ def test_round_trip_random_quivers():
         assert parse_json(emit_json(bq)) == bq
 
 
+# names that the grammar also uses as keywords, numeric names, and plain ones
+_NAME_POOL = (("quiver", "vertices", "arrows", "relations", "Q", "0", "1", "2", "1x", "b_c")
+              + tuple(f"n{k}" for k in range(50)))
+
+
+@st.composite
+def _renamed_bound_quivers(draw):
+    """A ``random_bound_quiver`` whose quiver, vertex and arrow names are
+    drawn from _NAME_POOL."""
+    from qcox.randquiver import random_bound_quiver
+    bq = random_bound_quiver(random.Random(draw(st.integers(0, 2 ** 32))))
+    q = bq.quiver
+    vertices = draw(st.permutations(_NAME_POOL))[:q.n]
+    arrows = draw(st.permutations(_NAME_POOL))[:len(q.arrows)]
+    quiver = Quiver(tuple(vertices), tuple(Arrow(name, a.source, a.target)
+                                           for name, a in zip(arrows, q.arrows)))
+    return BoundQuiver(quiver, bq.relations, name=draw(st.sampled_from(_NAME_POOL)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_renamed_bound_quivers(), st.integers(0, 6))
+# an arrow named "relations" that is not the first arrow
+@example(BoundQuiver(Quiver(("1", "2"), (Arrow("a", 0, 1), Arrow("relations", 0, 1)))), 0)
+def test_what_qcox_writes_it_reads_back(bq, pick):
+    import contextlib
+    import io
+    import os
+    import tempfile
+    from qcox.cli import main
+    from qcox.coxeter import sigma_reflect
+    for parse, emit in ((parse_quiver, emit_text), (parse_json, emit_json)):
+        back = parse(emit(bq))
+        assert (back, back.name) == (bq, bq.name)
+    # reflect writes a relation-free quiver; read it in one format, write the other
+    free = BoundQuiver(bq.quiver, name=bq.name)
+    vertex = pick % bq.quiver.n
+    expected = BoundQuiver(sigma_reflect(bq.quiver, vertex))
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, emit, fmt, parse in ((".json", emit_json, "plain", parse_quiver),
+                                         (".qv", emit_text, "json", parse_json)):
+            path = os.path.join(tmp, "in" + suffix)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(emit(free))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["reflect", path, "--vertex", bq.quiver.vertices[vertex],
+                             f"--format={fmt}"]) == 0
+            back = parse(out.getvalue())
+            assert (back, back.name) == (expected, bq.name)
+
+
 def test_relations_keyword_with_no_declarations():
     bq = parse_quiver("""
     quiver empty_block {

@@ -85,3 +85,27 @@ def test_regexes_are_compiled_at_module_level():
                       and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"}
     assert SOURCES
     assert sorted(found) == []
+
+
+def test_library_has_no_unused_imports():
+    # every name a module imports is used there; __init__.py imports to
+    # re-export, and perfbench/spans.py wraps algebra.rank_rational by name
+    allowed = {("algebra.py", "rank_rational")}
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used and (path.name, name) not in allowed]
+    assert SOURCES
+    assert found == []
