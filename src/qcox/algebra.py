@@ -28,6 +28,12 @@ arrow counts B, and graded dimensions that terminate make B nilpotent, so
 No dimension is counted by listing paths; ``iter_paths_by_degree`` lists
 them only for ``randquiver``, which draws random relations from them.
 
+Both engines append each degree's nonzero counts to one coefficient
+list per nonzero (source, target) cell, padding a cell that skipped
+degrees with zeros.  Those lists are the coefficients of the Cartan
+entries: ``cartan_matrix`` wraps them into rows as they are, and
+``GradedDimTable.dims`` lists their nonzero entries by (i, j, degree).
+
 Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
 later degree vanishes too.  If no such degree exists below the cap,
@@ -40,6 +46,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
@@ -54,17 +62,27 @@ DEFAULT_MAX_DIM = 1_000_000
 
 @dataclass(frozen=True)
 class GradedDimTable:
-    """dim of the (i, j) graded component per degree; zero entries omitted."""
+    """dim of the (i, j) graded component per degree.  ``cells`` holds, per
+    nonzero (source, target) cell, the dims by degree, which is the
+    coefficient list of Cartan entry (i, j); ``dims`` lists their nonzero
+    entries by (i, j, degree)."""
 
     n: int
     max_degree: int
-    dims: Mapping[tuple[int, int, int], int]
+    cells: Mapping[tuple[int, int], list[int]]
+
+    @cached_property
+    def dims(self) -> dict[tuple[int, int, int], int]:
+        return {(i, j, d): value for (i, j), cs in self.cells.items()
+                for d, value in enumerate(cs) if value}
 
     def to_json_obj(self, vertex_names: Sequence[str] | None = None) -> dict:
         def label(v: int):
             return vertex_names[v] if vertex_names is not None else v
+        # sorted by (i, j, d): cells by (i, j), each by degree
         entries = [{"source": label(i), "target": label(j), "degree": d, "dim": value}
-                   for (i, j, d), value in sorted(self.dims.items())]
+                   for (i, j), cs in sorted(self.cells.items())
+                   for d, value in enumerate(cs) if value]
         return {"dims": entries, "max_degree": self.max_degree}
 
 
@@ -129,24 +147,37 @@ def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     return _normal_word_dims(bq, degree_cap, max_dim)
 
 
+def _append_degree(cells: dict[tuple[int, int], list[int]], degree: int,
+                   counts: Mapping[tuple[int, int], int]) -> None:
+    # cells[i, j] gains counts[i, j] as its coefficient of q^degree, after
+    # zeros for the degrees since the cell's last nonzero count
+    for key, c in counts.items():
+        cs = cells.get(key)
+        if cs is None:
+            cs = cells[key] = [0] * degree
+        elif len(cs) < degree:
+            cs += repeat(0, degree - len(cs))
+        cs.append(c)
+
+
 def _path_count_dims(quiver: Quiver, degree_cap: int, max_dim: int) -> GradedDimTable:
-    """Graded dims of the path algebra: cells[i, j] counts the paths of the
-    current degree from i to j, for the nonzero counts only."""
+    """Graded dims of the path algebra: counts[i, j] is the number of paths
+    of the current degree from i to j, for the nonzero counts only."""
     n = quiver.n
     steps = [[(u, m) for u, m in enumerate(row) if m] for row in quiver.arrow_counts()]
-    cells = {(v, v): 1 for v in range(n)}
-    dims = {(v, v, 0): 1 for v in range(n)}
+    counts = {(v, v): 1 for v in range(n)}
+    cells = {(v, v): [1] for v in range(n)}
     for degree in range(1, degree_cap + 1):
-        last, cells = cells, {}
+        last, counts = counts, {}
         for (i, t), c in last.items():
             for u, m in steps[t]:
-                cells[i, u] = cells.get((i, u), 0) + c * m
-        total = sum(cells.values())
+                counts[i, u] = counts.get((i, u), 0) + c * m
+        total = sum(counts.values())
         if total > max_dim:
             raise DimensionBudgetExceeded(max_dim, degree)
         if not total:
-            return GradedDimTable(n, degree, dims)
-        dims.update(((i, j, degree), c) for (i, j), c in cells.items())
+            return GradedDimTable(n, degree, cells)
+        _append_degree(cells, degree, counts)
     raise DegreeCapExceeded(degree_cap)
 
 
@@ -170,7 +201,7 @@ def _normal_word_dims(bq: BoundQuiver, degree_cap: int, max_dim: int) -> GradedD
 
     trivial = list(range(n))
     degrees: list[_Degree | None] = [_Degree(trivial, trivial, [], trivial)]
-    dims: dict[tuple[int, int, int], int] = {(v, v, 0): 1 for v in range(n)}
+    cells = {(v, v): [1] for v in range(n)}
     for degree in range(1, degree_cap + 1):
         prev = degrees[-1]
         base = [0] * len(prev.src)
@@ -194,9 +225,8 @@ def _normal_word_dims(bq: BoundQuiver, degree_cap: int, max_dim: int) -> GradedD
         if len(cur.words) > max_dim:
             raise DimensionBudgetExceeded(max_dim, degree)
         if not cur.words:
-            return GradedDimTable(n, degree, dims)
-        for (i, j), value in Counter((cur.src[k], cur.tgt[k]) for k in cur.words).items():
-            dims[(i, j, degree)] = value
+            return GradedDimTable(n, degree, cells)
+        _append_degree(cells, degree, Counter((cur.src[k], cur.tgt[k]) for k in cur.words))
         if degree >= keep:
             degrees[degree - keep] = None
     raise DegreeCapExceeded(degree_cap)
@@ -242,17 +272,14 @@ def _relation_rows(starts: dict[int, list[list]], degrees: list, degree: int,
 def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                   max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
     """q-weighted Cartan matrix: entry (i, j) counts the graded dimensions
-    of the component from i to j, one power of q per degree."""
+    of the component from i to j, one power of q per degree; it is the
+    table's coefficient list of cell (i, j)."""
     table = graded_dims(bq, degree_cap, max_dim)
     n = bq.quiver.n
-    coeffs = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j, d), value in table.dims.items():
-        cs = coeffs[i][j]
-        if len(cs) <= d:
-            cs.extend([0] * (d + 1 - len(cs)))
-        cs[d] = value
-    return PolyMatrix._make([[Polynomial._make(cs) if cs else ZERO for cs in row]
-                             for row in coeffs])
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), cs in table.cells.items():
+        rows[i][j] = Polynomial._make(cs)
+    return PolyMatrix._make(rows)
 
 
 def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix) -> PolyMatrix:

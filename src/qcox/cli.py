@@ -15,6 +15,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from itertools import compress, count
 
 from . import algebra, coxeter
 from .errors import QcoxError, ValidationError
@@ -85,10 +86,22 @@ def render_matrix(m: PolyMatrix, fmt: str, at_q: Fraction | None) -> str:
     return _matrix_latex(cells) if fmt == "latex" else _grid_plain(cells)
 
 
+_COEFF_SEP = '",\n        "'
+_ZERO_COEFF = "0" + _COEFF_SEP
+
+
 def _entry_json(p: Polynomial) -> str:
-    if not p.coeffs:
+    # the coefficient strings joined by _COEFF_SEP; a run of k zeros before a
+    # nonzero coefficient is written as k copies of _ZERO_COEFF
+    cs = p.coeffs
+    if not cs:
         return "[]"
-    return '[\n        "' + '",\n        "'.join(map(str, p.coeffs)) + '"\n      ]'
+    parts = []
+    last = -1
+    for k in compress(count(), cs):
+        parts.append(_ZERO_COEFF * (k - last - 1) + str(cs[k]))
+        last = k
+    return '[\n        "' + _COEFF_SEP.join(parts) + '"\n      ]'
 
 
 def _poly_json(p: Polynomial, at_q: Fraction | None):
@@ -282,6 +295,13 @@ def _max_dim(text: str) -> int:
     return value
 
 
+def _random_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("random count must not be negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="quiver file (.qv text or .json)")
@@ -341,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="check every applicable identity, exit 1 on failure")
     verify_p.add_argument("--seed", type=int, default=0,
                           help="seed for the --random instances")
-    verify_p.add_argument("--random", type=int, default=0, metavar="K",
+    verify_p.add_argument("--random", type=_random_count, default=0, metavar="K",
                           help="also verify K seeded random bound quivers")
 
     return parser

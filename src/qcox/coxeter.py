@@ -67,9 +67,17 @@ Polynomials and need no bound.  The Euler identities
 x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y) hold for all x, y
 exactly when C^-1 equals both, so they are checked exactly, as two matrix
 identities.
-``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms multiply
-once and stay on Polynomial rows, where packing the inputs and unpacking
-the result would cost more than the product.
+The shared packed rows, and the norms of the bound, read only the nonzero
+entries, and form_invariance reads 2G, whose coefficients are ints.
+
+``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms stay on
+Polynomial rows, where packing the inputs and unpacking the result would
+cost more than the product.  ``coxeter_matrix_bound`` forms
+Phi^T = -X^T C, X = C^-1, one row at a time: row j is the combination of
+C's rows that column j of -X names, and Phi is its transpose.  For
+X = E - qB without relations every coefficient is a monomial, -1 or b q,
+so row j is row j of C negated plus one shifted add of row k of C per
+vertex k with arrows k -> j; a relation-bound X costs what C^T (-X) costs.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import prod
-from operator import mul
+from operator import attrgetter, mul
 
 from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_inverse, cartan_matrix
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
@@ -88,6 +96,8 @@ from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
 _HALF_Q = Polynomial([0, Fraction(1, 2)])
+_COEFFS = attrgetter("coeffs")
+_TWO = Polynomial([2])
 _Q = Polynomial([0, 1])
 
 
@@ -132,8 +142,23 @@ def _reflection_product(numbering, row_of, rows, combine=row_combination):
     return rows
 
 
+def _doubled(row) -> list[Polynomial]:
+    # 2 * row for entries whose doubles have integer coefficients, as ints
+    doubled = list(row)
+    for j in compress(count(), map(_COEFFS, row)):
+        doubled[j] = Polynomial._make([int(2 * c) for c in row[j].coeffs])
+    return doubled
+
+
 def _pack_rows(rows, w: int) -> list[list[int]]:
-    return [[pack(p, w) for p in row] for row in rows]
+    # only the nonzero entries are packed; the others stay 0
+    packed = []
+    for row in rows:
+        out = [0] * len(row)
+        for j in compress(count(), map(_COEFFS, row)):
+            out[j] = pack(row[j], w)
+        packed.append(out)
+    return packed
 
 
 def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
@@ -166,17 +191,12 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
 def gram_matrix(quiver: Quiver) -> PolyMatrix:
     """Matrix G of the graph bilinear form, so that (x, y) = x^T G y.
     Half-integer coefficients are exact rationals."""
-    n = quiver.n
     counts = quiver.arrow_counts()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            both = counts[i][j] + counts[j][i]
-            diag = ONE if i == j else Polynomial()
-            row.append(diag - _HALF_Q * both if both else diag)
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix._make([
+        [Polynomial._make([int(i == j), Fraction(-(b + counts[j][i]), 2)])
+         if b or counts[j][i] else ONE if i == j else ZERO
+         for j, b in enumerate(row)]
+        for i, row in enumerate(counts)])
 
 
 def bilinear_form_graph(quiver: Quiver, x, y) -> Polynomial:
@@ -272,7 +292,11 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     if cartan is None:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
-        return cartan.transpose() * -cartan_inverse(bq, cartan)
+        # row j of Phi^T = -X^T C, X = C^-1, is the combination of C's rows
+        # that column j of -X names (see the module docstring)
+        columns = zip(*(-cartan_inverse(bq, cartan)).rows)
+        return PolyMatrix._make([row_combination(column, cartan.rows)
+                                 for column in columns]).transpose()
     numbering = admissible_numbering(bq.quiver)
     form = symmetric_form_matrix(cartan, cartan_inverse(bq, cartan))
     return PolyMatrix._make(_reflection_product(
@@ -353,13 +377,14 @@ def _braid_holds(rows, i: int, j: int, factor: Polynomial) -> bool:
 
 def _form_invariant(gram_row, v: int, row) -> bool:
     """s^T G s == G for the reflection s at v whose row v is row, G symmetric
-    with row v gram_row; reads the entries where gram_row or u_v is nonzero."""
+    with row v gram_row: 2 gram_row + G_vv u_v == 0, one row combination
+    that reads the entries where gram_row or u_v is nonzero.  It holds for
+    G exactly when it holds for 2G, whose coefficients are ints."""
     if _unit(row, v):
         return True
     u = list(row)
     u[v] = u[v] - ONE
-    return all(not (gram_row[k] + gram_row[k] + gram_row[v] * u[k])
-               for k in {*compress(count(), gram_row), *compress(count(), u)})
+    return not any(map(_COEFFS, row_combination((_TWO, gram_row[v]), (gram_row, u))))
 
 
 # Packed words: ``eye`` is E's packed rows and refl_rows[v] is packed row v
@@ -432,16 +457,15 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     # relation-free theorems compare graph products against the Cartan matrix
     sink_theorems = ("acyclic", "relation_free", "inverse")
     # per sink, with its arrows reversed (which can make paths longer):
-    # Cartan matrix, numbering and graph rows
+    # Cartan matrix and numbering.  Edge counts ignore arrow directions, so
+    # the reversed quiver has the input's graph reflections.
     flipped = []
     why["reversed_sinks"] = ""
     try:
         for i in () if any(why[h] for h in sink_theorems) else quiver.sinks():
             f = sigma_reflect(quiver, i)
-            f_counts = f.edge_counts()
             flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
-                            admissible_numbering(f),
-                            [_graph_row(f, f_counts, v) for v in range(n)]))
+                            admissible_numbering(f)))
     except DegreeCapExceeded as exc:
         why["reversed_sinks"] = (f"graded dimensions with the arrows at sink "
                                  f"{quiver.vertices[i]} reversed did not terminate ({exc})")
@@ -454,7 +478,8 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     terms = [1]
     if acyclic:
         graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
-        gram = gram_matrix(quiver).rows
+        # 2G, so that form_invariance adds and multiplies ints
+        gram2 = [_doubled(row) for row in gram_matrix(quiver).rows]
         m, p = _letter_norms(graph_rows)
         terms.append(m * m * p)
     if not why["inverse"]:
@@ -463,11 +488,12 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         nu_c, nu_inverse = (max(norm(x.rows), norm(zip(*x.rows))) for x in (cartan, inverse))
         phi = nu_c * nu_inverse
         terms += [_letter_norms(gamma_rows)[1], nu_c * phi, nu_inverse * phi * phi]
-    for _, flipped_c, _, flipped_rows in flipped:
-        terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows),
-                  _letter_norms(flipped_rows)[1]]
+    for _, flipped_c, _ in flipped:
+        terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows)]
     w = slot_width(max(terms))
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    eye = [[0] * n for _ in range(n)]
+    for i in range(n):
+        eye[i][i] = 1
 
     if acyclic:
         graph_p = _pack_rows(graph_rows, w)
@@ -487,8 +513,8 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         gamma_p = _pack_rows(gamma_rows, w)
         gamma_first = _word(eye, gamma_p, *first) if acyclic else None
         involutive = [i for i in range(n) if form.entry(i, i) == 2]
-        commuting = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if form.entry(i, j).is_zero()]
+        commuting = [(i, j) for i, row in enumerate(form.rows) for j in range(i + 1, n)
+                     if not row[j].coeffs]
     why["involutive"] = "" if involutive else "no vertex with diagonal form entry 2"
     why["commuting"] = "" if commuting else "no vertex pair with vanishing form entry"
 
@@ -506,17 +532,17 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                                   Polynomial._make([-1, 0, counts[i][j] * counts[j][i]]))
                      for i in range(n) for j in range(i + 1, n) if counts[i][j])),
         ("form_invariance", ("acyclic",),
-         lambda: all(_form_invariant(gram[i], i, graph_rows[i]) for i in range(n))),
+         lambda: all(_form_invariant(gram2[i], i, graph_rows[i]) for i in range(n))),
         ("coxeter_numbering_independence", ("acyclic", "two_numberings"),
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
         ("sink_reflection_cartan", sink_theorems + ("reversed_sinks",),
          lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
-                     for i, c, _, _ in flipped)),
+                     for i, c, _ in flipped)),
         ("sink_reflection_coxeter", sink_theorems + ("reversed_sinks",),
          lambda: all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
-                     _word(eye, _pack_rows(rows, w), *numbering)
-                     for i, _, numbering, rows in flipped)),
+                     _word(eye, graph_p, *numbering)
+                     for i, _, numbering in flipped)),
         ("gamma_involution", ("inverse", "involutive"),
          lambda: all(_involution_holds(gamma_rows, i) for i in involutive)),
         ("gamma_commutation", ("inverse", "commuting"),

@@ -13,8 +13,13 @@ Products are row-oriented: row i of A*B is the sum of a_ik * row_k(B)
 ``packed_combination`` below, find the nonzero coefficients and the
 nonzero entries of the rows they name with a C-level scan (``compress``)
 and touch nothing else, so a sparse inverse and the near-identity
-reflection rows cost what their nonzero entries cost.  A dot product is
-one combination of one-entry rows.
+reflection rows cost what their nonzero entries cost.  A monomial
+coefficient a*q^s (every nonzero entry of E - qB and of the reflection
+rows is one) updates each entry it touches by that entry's coefficient
+list shifted by s and scaled by a (added for a = 1, subtracted for
+a = -1), with list slice and ``map`` operations that run in C; only a
+coefficient with two or more terms multiplies term by term.  A dot product is one combination of
+one-entry rows.
 The determinant and the unimodular inverse come from one Gauss-Jordan
 elimination over the Euclidean domain Q[q], which never forms a
 rational-function field.  Each column's pivot is a live row of least
@@ -42,9 +47,9 @@ as a product of ``norm`` values is.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import ceil
-from operator import attrgetter
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotUnimodular
@@ -233,12 +238,33 @@ def poly_vector(values: Iterable) -> tuple[Polynomial, ...]:
 def row_combination(coeffs: Sequence[Polynomial],
                     rows: Sequence[Sequence[Polynomial]]) -> tuple[Polynomial, ...]:
     """The row sum of coeffs[k] * rows[k] over k; only the nonzero
-    coefficients, and the nonzero entries of the rows they name, are read."""
+    coefficients, and the nonzero entries of the rows they name, are read.
+    A monomial coefficient a*q^s adds a shifted, scaled copy of each entry
+    by list operations that run in C; a general one multiplies term by term."""
     acc: list = [None] * len(rows[0])
     for k in compress(count(), map(_COEFFS, coeffs)):
         ac = coeffs[k].coeffs
         nonzero = [(i, ac[i]) for i in compress(count(), ac)]
         row = rows[k]
+        if len(nonzero) == 1:
+            # a * q^s: entry j gains bc shifted by s, added (a == 1), subtracted
+            # (a == -1) or scaled first
+            (s, a), = nonzero
+            op = sub if a == -1 else add
+            for j in compress(count(), map(_COEFFS, row)):
+                bc = row[j].coeffs
+                if a != 1 and a != -1:
+                    bc = list(map(mul, repeat(a), bc))
+                cur = acc[j]
+                if cur is None:
+                    cur = acc[j] = [0] * s
+                    cur += bc if op is add else map(neg, bc)
+                    continue
+                end = s + len(bc)
+                if len(cur) < end:
+                    cur += repeat(0, end - len(cur))
+                cur[s:end] = map(op, cur[s:end], bc)
+            continue
         for j in compress(count(), map(_COEFFS, row)):
             bc = row[j].coeffs
             need = len(ac) + len(bc) - 1
@@ -259,7 +285,8 @@ def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
 
     It bounds every coefficient, and norm(A*B) <= norm(A) * norm(B), as
     |a*b|_1 <= |a|_1 |b|_1 for the sums |.|_1 of |coefficient|."""
-    return max(1, ceil(max(sum(sum(map(abs, p.coeffs)) for p in row) for row in rows)))
+    return max(1, ceil(max(sum(sum(map(abs, cs)) for cs in filter(None, map(_COEFFS, row)))
+                           for row in rows)))
 
 
 def slot_width(bound: int) -> int:

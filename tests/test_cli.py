@@ -126,10 +126,33 @@ def matrices(draw):
     return PolyMatrix([[draw(entry_st) for _ in range(n)] for _ in range(n)])
 
 
+def sparse_entry(terms):
+    """The polynomial with the given {degree: coefficient} terms."""
+    cs = [0] * (max(terms, default=-1) + 1)
+    for d, c in terms.items():
+        cs[d] = c
+    return Polynomial(cs)
+
+
+# monomials and binomials up to degree 70 with long runs of zero
+# coefficients, as Coxeter matrices of long chains have them
+sparse_entry_st = st.dictionaries(st.integers(0, 70), coeff_st.filter(bool),
+                                  min_size=1, max_size=2).map(sparse_entry)
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 3))
+    return PolyMatrix([[draw(st.one_of(entry_st, sparse_entry_st)) for _ in range(n)]
+                       for _ in range(n)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 @example(PolyMatrix([[0]]))
 @example(PolyMatrix([[Polynomial([-1, Fraction(-1, 2), 0, 7])]]))
+@example(PolyMatrix([[sparse_entry({63: 1}), sparse_entry({0: -1, 2: 1})],
+                     [sparse_entry({1: Fraction(-3, 4), 70: 2}), 0]]))
 def test_matrix_json_writer_matches_json_dumps(m):
     assert render_matrix(m, "json", None) == json.dumps(matrix_json_obj(m), indent=2)
 
@@ -151,6 +174,20 @@ def test_coxeter_methods_agree(qv, capsys):
     _, out_refl, _ = run_cli(capsys, "coxeter", path, "--method=reflections")
     _, out_cart, _ = run_cli(capsys, "coxeter", path, "--method=cartan")
     assert out_refl == out_cart
+
+
+def test_verify_negative_random_count_exit_2(qv, capsys):
+    path = qv("a3.qv", A3_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--random=-2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        "qcox verify: error: argument --random: random count must not be negative"
+    code, out, _ = run_cli(capsys, "verify", path, "--random=0")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified 1 instance(s), 0 failing check(s)"
 
 
 def test_degree_cap_error_exit_2(qv, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qcox.algebra import cartan_inverse, cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
-                          _euler_form_invariant, _form_invariant, _involution_holds,
+                          _doubled, _euler_form_invariant, _form_invariant, _involution_holds,
                           _pack_rows, _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
@@ -285,6 +285,26 @@ def test_coxeter_matrix_bound_goldens():
     single = BoundQuiver(Quiver(("1",), ()))
     assert coxeter_matrix_bound(single) == PolyMatrix([[-ONE]])
     assert coxeter_matrix_bound(single, method="reflections") == PolyMatrix([[-ONE]])
+
+
+def test_coxeter_matrix_bound_is_the_product_of_c_transpose_and_minus_the_inverse():
+    # Phi^T = -X^T C row by row, against the triple loop Phi = C^T (-X), on
+    # relation-bound acyclic, unimodular cyclic and parallel-arrow chains
+    rng = random.Random(29)
+    quivers = [random_bound_quiver(rng) for _ in range(40)]
+    quivers += [random_cyclic_bound_quiver(rng) for _ in range(150)]
+    quivers += [_parallel_chain(c) for c in ((1,), (3,), (2, 1), (1, 3, 2), (2, 2, 1, 3),
+                                             (1,) * 12)]
+    seen = Counter()
+    for bq in quivers:
+        c = cartan_matrix(bq)
+        try:
+            x = cartan_inverse(bq, c)
+        except NotUnimodular:
+            continue
+        seen[bq.quiver.is_acyclic(), bool(bq.relations)] += 1
+        assert coxeter_matrix_bound(bq, "cartan") == naive_matmul(c.transpose(), -x)
+    assert min(seen[False, True], seen[True, True], seen[True, False]) >= 10
 
 
 def test_coxeter_matrix_bound_errors():
@@ -660,6 +680,8 @@ def test_row_local_checks_match_full_matrix_identities(case, i, step):
                                 for b in range(n)] for a in range(n)])
     invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
     assert _form_invariant(gram.rows[i], i, rows[i]) == invariant
+    # the verifier reads 2G, with int coefficients
+    assert _form_invariant(_doubled(gram.rows[i]), i, rows[i]) == invariant
 
 
 @settings(max_examples=100, deadline=None)
@@ -739,6 +761,22 @@ def test_verifier_packed_products_grow_linearly_on_chains(monkeypatch):
         made.append(len(calls))
         calls.clear()
     assert made[1] <= 2 * made[0]
+
+
+def test_verifier_packs_only_nonzero_entries_on_chains(monkeypatch):
+    # the shared packed rows cost their nonzero entries: fewer pack calls
+    # than 3 * nnz(C), where packing every entry takes 6n^2
+    import qcox.coxeter as coxeter_module
+    calls = []
+    original = coxeter_module.pack
+    monkeypatch.setattr(coxeter_module, "pack",
+                        lambda *args: calls.append(1) or original(*args))
+    for n in (20, 40):
+        bq = _parallel_chain([1] * (n - 1))
+        nnz = sum(1 for row in cartan_matrix(bq).rows for e in row if e.coeffs)
+        calls.clear()
+        assert verify_identities(bq).passed
+        assert 0 < len(calls) < 3 * nnz
 
 
 @pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),

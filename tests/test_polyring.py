@@ -249,24 +249,64 @@ def dense_combination(coeffs, rows, zero):
 
 
 @st.composite
-def combinations(draw, entry, zero):
+def combinations(draw, entry, zero, coeff=None):
     """(coeffs, rows): k rows of length n, some coefficients zero and some
-    rows zero throughout."""
+    rows zero throughout; coefficients are drawn from coeff (default: entry)."""
     k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    coeffs = draw(st.lists(st.one_of(st.just(zero), entry), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.one_of(st.just(zero), entry if coeff is None else coeff),
+                           min_size=k, max_size=k))
     rows = draw(st.lists(st.one_of(st.just([zero] * n),
                                    st.lists(entry, min_size=n, max_size=n)),
                          min_size=k, max_size=k))
     return coeffs, rows
 
 
+def shifted(coeffs, shift):
+    return Polynomial([0] * shift + coeffs)
+
+
+nonzero_coeff_st = st.one_of(st.integers(-9, 9),
+                             st.fractions(min_value=-5, max_value=5,
+                                          max_denominator=6)).filter(bool)
+# a*q^s, as the reflection rows, E - qB and the forms vectors have them
+monomial_st = st.builds(lambda a, s: shifted([a], s), nonzero_coeff_st, st.integers(0, 8))
+# entries up to degree 50 that are mostly zero coefficients, as Cartan rows
+high_degree_st = st.one_of(sparse_poly_st,
+                           st.builds(shifted, coeffs_st, st.integers(0, 45)))
+# degree-40 entries with zeros inside, and a zero entry, for the examples
+WIDE_ROWS = [[shifted([1], 40), ZERO, shifted([-1, 0, 0, 2], 41)],
+             [ZERO, shifted([Fraction(1, 3)], 44), P(1, 0, 0, -4)],
+             [shifted([5, 0, 1], 40), ONE, ZERO],
+             [ZERO, ZERO, ZERO]]
+
+
 @settings(max_examples=300, deadline=None)
-@given(combinations(sparse_poly_st, ZERO))
+@given(st.one_of(combinations(sparse_poly_st, ZERO),
+                 combinations(high_degree_st, ZERO, monomial_st)))
 @example(([ZERO, ZERO], [[P(1), ZERO], [ZERO, Q]]))
 @example(([P(Fraction(1, 2)), Q], [[ZERO, ZERO], [P(0, Fraction(-2, 3)), ZERO]]))
+@example(([ONE, MINUS_ONE, P(0, Fraction(1, 2)), P(0, 0, 0, 2)], WIDE_ROWS))
+@example(([P(0, 0, 0, 2), P(0, Fraction(1, 2)), MINUS_ONE, ONE], WIDE_ROWS))
+@example(([MINUS_ONE, ZERO, MINUS_ONE, ONE], WIDE_ROWS))
 def test_row_combination_matches_the_dense_loop(case):
     coeffs, rows = case
     assert row_combination(coeffs, rows) == tuple(dense_combination(coeffs, rows, ZERO))
+
+
+int_poly_st = st.builds(shifted, st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 45))
+int_monomial_st = st.builds(lambda a, s: shifted([a], s),
+                            st.integers(-9, 9).filter(bool), st.integers(0, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(combinations(int_poly_st, ZERO),
+                 combinations(int_poly_st, ZERO, int_monomial_st)))
+@example(([ONE, MINUS_ONE, P(0, 0, 0, 2)], WIDE_ROWS[2:] + [[P(-1, 0, 0, 2)] * 3]))
+def test_row_combination_keeps_int_coefficients_ints(case):
+    # in the monomial branch and in the general one
+    coeffs, rows = case
+    for p in row_combination(coeffs, rows):
+        assert all(type(c) is int for c in p.coeffs)
 
 
 @settings(max_examples=300, deadline=None)

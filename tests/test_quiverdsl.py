@@ -206,6 +206,19 @@ def test_duplicate_names_rejected():
         parse_quiver("quiver d { vertices: 1, 2; arrows: a: 1 -> 3; }")
 
 
+def test_duplicate_vertex_is_reported_before_an_unknown_endpoint():
+    # both faults at once: the duplicate check runs before the endpoint
+    # lookup, from text and from the equivalent JSON alike
+    text = "quiver d { vertices: 1, 1; arrows: a: 1 -> 3; }"
+    blob = json.dumps({"name": "d", "vertices": ["1", "1"],
+                       "arrows": [{"name": "a", "source": "1", "target": "3"}]})
+    for parse, source in ((parse_quiver, text), (parse_json, blob)):
+        with pytest.raises(ValidationError) as err:
+            parse(source)
+        assert (err.value.code, str(err.value)) == \
+            ("DuplicateVertex", "DuplicateVertex: vertex '1' declared twice")
+
+
 def test_arrow_count_matrices():
     bq = parse_quiver("""
     quiver k {
