@@ -25,8 +25,10 @@ on the nonzero (source, target) cells: a degree costs those cells times
 their out-degree, not its number of paths.  Then C = sum_d (qB)^d for the
 arrow counts B, and graded dimensions that terminate make B nilpotent, so
 ``cartan_inverse`` returns C^-1 = E - qB exactly, with no elimination.
-No dimension is counted by listing paths; ``iter_paths_by_degree`` lists
-them only for ``randquiver``, which draws random relations from them.
+Whether they terminate is decided by the path totals 1^T B^d 1 alone
+(``_path_totals``): the path count engine runs that check first, and
+``cartan_inverse`` without a given C runs nothing else.  No dimension is
+counted by listing paths.
 
 Both engines append each degree's nonzero counts to one coefficient
 list per nonzero (source, target) cell, padding a cell that skipped
@@ -47,14 +49,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from itertools import compress, count, repeat
+from typing import Mapping
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
 from .polyring import ONE, ZERO, Polynomial, PolyMatrix, echelon
 # the benchmark's span tracer wraps rank_rational as an attribute of this module
 from .polyring import rank_rational  # noqa: F401
-from .quiverdsl import BoundQuiver, Path, Quiver
+from .quiverdsl import BoundQuiver, Quiver
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_MAX_DIM = 1_000_000
@@ -76,31 +78,12 @@ class GradedDimTable:
         return {(i, j, d): value for (i, j), cs in self.cells.items()
                 for d, value in enumerate(cs) if value}
 
-    def to_json_obj(self, vertex_names: Sequence[str] | None = None) -> dict:
-        def label(v: int):
-            return vertex_names[v] if vertex_names is not None else v
-        # sorted by (i, j, d): cells by (i, j), each by degree
-        entries = [{"source": label(i), "target": label(j), "degree": d, "dim": value}
-                   for (i, j), cs in sorted(self.cells.items())
-                   for d, value in enumerate(cs) if value]
-        return {"dims": entries, "max_degree": self.max_degree}
-
 
 def _out_arrows(quiver: Quiver) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(quiver.n)]
     for idx, a in enumerate(quiver.arrows):
         out[a.source].append(idx)
     return out
-
-
-def iter_paths_by_degree(quiver: Quiver) -> Iterator[list[Path]]:
-    """Yield all paths of length 0, 1, 2, ... in lexicographic arrow order."""
-    out = _out_arrows(quiver)
-    frontier = [Path.trivial(v) for v in range(quiver.n)]
-    while True:
-        yield frontier
-        frontier = [Path(p.arrows + (idx,), p.source, quiver.arrows[idx].target)
-                    for p in frontier for idx in out[p.target]]
 
 
 class _Degree:
@@ -134,14 +117,18 @@ class _Degree:
         return {k: c for k, c in out.items() if c}
 
 
-def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
-                max_dim: int = DEFAULT_MAX_DIM) -> GradedDimTable:
-    """Graded dimension table of the quotient algebra, by path counts without
-    relations and from normal words with them (see the module docstring)."""
+def _check_limits(degree_cap: int, max_dim: int) -> None:
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")
     if max_dim < 1:
         raise ValueError("max_dim must be positive")
+
+
+def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
+                max_dim: int = DEFAULT_MAX_DIM) -> GradedDimTable:
+    """Graded dimension table of the quotient algebra, by path counts without
+    relations and from normal words with them (see the module docstring)."""
+    _check_limits(degree_cap, max_dim)
     if not bq.relations:
         return _path_count_dims(bq.quiver, degree_cap, max_dim)
     return _normal_word_dims(bq, degree_cap, max_dim)
@@ -160,25 +147,42 @@ def _append_degree(cells: dict[tuple[int, int], list[int]], degree: int,
         cs.append(c)
 
 
+def _path_totals(arrow_counts: list[list[int]], degree_cap: int, max_dim: int) -> int:
+    """The first degree d >= 1 without paths for the arrow counts B, from
+    the path totals 1^T B^d 1, which are the path algebra's dimensions.
+    Raises as the module docstring says."""
+    steps = [[(u, m) for u, m in enumerate(row) if m] for row in arrow_counts]
+    ends = [1] * len(steps)     # paths of the current degree ending at each vertex
+    for degree in range(1, degree_cap + 1):
+        last, ends = ends, [0] * len(steps)
+        for t in compress(count(), last):
+            for u, m in steps[t]:
+                ends[u] += last[t] * m
+        total = sum(ends)
+        if total > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        if not total:
+            return degree
+    raise DegreeCapExceeded(degree_cap)
+
+
 def _path_count_dims(quiver: Quiver, degree_cap: int, max_dim: int) -> GradedDimTable:
-    """Graded dims of the path algebra: counts[i, j] is the number of paths
-    of the current degree from i to j, for the nonzero counts only."""
+    """Graded dims of the path algebra below the degree ``_path_totals``
+    finds: counts[i, j] is the number of paths of the current degree from
+    i to j, for the nonzero counts only."""
     n = quiver.n
-    steps = [[(u, m) for u, m in enumerate(row) if m] for row in quiver.arrow_counts()]
+    arrow_counts = quiver.arrow_counts()
+    top = _path_totals(arrow_counts, degree_cap, max_dim)
+    steps = [[(u, m) for u, m in enumerate(row) if m] for row in arrow_counts]
     counts = {(v, v): 1 for v in range(n)}
     cells = {(v, v): [1] for v in range(n)}
-    for degree in range(1, degree_cap + 1):
+    for degree in range(1, top):
         last, counts = counts, {}
         for (i, t), c in last.items():
             for u, m in steps[t]:
                 counts[i, u] = counts.get((i, u), 0) + c * m
-        total = sum(counts.values())
-        if total > max_dim:
-            raise DimensionBudgetExceeded(max_dim, degree)
-        if not total:
-            return GradedDimTable(n, degree, cells)
         _append_degree(cells, degree, counts)
-    raise DegreeCapExceeded(degree_cap)
+    return GradedDimTable(n, top, cells)
 
 
 def _normal_word_dims(bq: BoundQuiver, degree_cap: int, max_dim: int) -> GradedDimTable:
@@ -282,15 +286,25 @@ def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     return PolyMatrix._make(rows)
 
 
-def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix) -> PolyMatrix:
+def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
+                   degree_cap: int = DEFAULT_DEGREE_CAP,
+                   max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
     """C^-1 for bq's own Cartan matrix C: E - q*B for the arrow counts B
     without relations (see the module docstring), else
-    ``cartan.inverse_unimodular()``, which raises NotUnimodular."""
+    ``cartan.inverse_unimodular()``, which raises NotUnimodular.  Without a
+    given C, what ``cartan_matrix`` raises under the limits is raised too:
+    by ``_path_totals`` alone when there are no relations."""
     if bq.relations:
+        if cartan is None:
+            cartan = cartan_matrix(bq, degree_cap, max_dim)
         return cartan.inverse_unimodular()
+    arrow_counts = bq.quiver.arrow_counts()
+    if cartan is None:
+        _check_limits(degree_cap, max_dim)
+        _path_totals(arrow_counts, degree_cap, max_dim)
     return PolyMatrix._make([[Polynomial._make([int(i == j), -b]) if b else ONE if i == j else ZERO
                               for j, b in enumerate(row)]
-                             for i, row in enumerate(bq.quiver.arrow_counts())])
+                             for i, row in enumerate(arrow_counts)])
 
 
 KINDS = ("simple", "projective", "injective")

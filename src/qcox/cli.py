@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import compress, count
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import algebra, coxeter
 from .errors import QcoxError, ValidationError
@@ -135,6 +136,41 @@ def _dumps(obj) -> str:
     return json_text(obj)
 
 
+def _json_items(items: list[str], pad: str) -> str:
+    # json_text's layout of a list whose items, written at indent pad, are given
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}]" if items else "[]"
+
+
+def _verify_json(passed: bool, reports) -> str:
+    """json_text of the verify payload, written straight:
+    {"passed": ..., "reports": [{"instance": label, "checks": [{"identity":
+    ..., "status": ..., "reason": ...}, ...]}, ...]}."""
+    items = []
+    for label, report in reports:
+        checks = [f'{{\n          "identity": {_encode_str(c.identity)},'
+                  f'\n          "status": {_encode_str(c.status)},'
+                  f'\n          "reason": {_encode_str(c.reason)}\n        }}'
+                  for c in report.checks]
+        items.append(f'{{\n      "instance": {_encode_str(label)},'
+                     f'\n      "checks": {_json_items(checks, " " * 8)}\n    }}')
+    return (f'{{\n  "passed": {"true" if passed else "false"},'
+            f'\n  "reports": {_json_items(items, " " * 4)}\n}}')
+
+
+def _dims_json(table: algebra.GradedDimTable, names) -> str:
+    """json_text of the dims table, written straight: {"dims": [{"source":
+    name, "target": name, "degree": d, "dim": value}, ...], "max_degree": ...},
+    sorted by (source, target, degree) indices."""
+    names = [_encode_str(v) for v in names]
+    entries = []
+    for (i, j), cs in sorted(table.cells.items()):
+        head = f'{{\n      "source": {names[i]},\n      "target": {names[j]},\n      "degree": '
+        entries += [f'{head}{d},\n      "dim": {value}\n    }}'
+                    for d, value in enumerate(cs) if value]
+    return (f'{{\n  "dims": {_json_items(entries, " " * 4)},'
+            f'\n  "max_degree": {table.max_degree}\n}}')
+
+
 def _parse_vector(text: str, n: int) -> list:
     # an integral entry becomes an int, which costs far less than a Fraction
     parts = text.split(",")
@@ -175,7 +211,7 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
     if kind is None:
         table = algebra.graded_dims(bq, args.degree_cap, args.max_dim)
         if args.format == "json":
-            print(_dumps(table.to_json_obj(bq.quiver.vertices)))
+            print(_dims_json(table, bq.quiver.vertices))
         else:
             names = bq.quiver.vertices
             for (i, j, d), value in sorted(table.dims.items()):
@@ -204,13 +240,13 @@ def _cmd_dims(args, bq: BoundQuiver) -> int:
 def _cmd_forms(args, bq: BoundQuiver) -> int:
     x = _parse_vector(args.x, bq.quiver.n)
     y = _parse_vector(args.y, bq.quiver.n)
-    cartan = algebra.cartan_matrix(bq, args.degree_cap, args.max_dim)
-    inverse = algebra.cartan_inverse(bq, cartan)
+    # C^-1 alone; without relations it needs no C
+    inverse = algebra.cartan_inverse(bq, None, args.degree_cap, args.max_dim)
     if args.symmetric:
-        value = coxeter.symmetric_euler_form(cartan, x, y, inverse)
+        value = coxeter.symmetric_euler_form(None, x, y, inverse)
         name = "symmetric"
     else:
-        value = coxeter.euler_form(cartan, x, y, inverse)
+        value = coxeter.euler_form(None, x, y, inverse)
         name = "euler"
     if args.format == "json":
         at = {} if args.at_q is None else {"at_q": format_rational(args.at_q)}
@@ -252,10 +288,7 @@ def _cmd_verify(args, bq: BoundQuiver) -> int:
         reports.append((f"random[{k}]", coxeter.verify_identities(extra, **limits)))
     all_passed = all(report.passed for _, report in reports)
     if args.format == "json":
-        payload = {"passed": all_passed,
-                   "reports": [{"instance": label, "checks": report.to_json_obj()}
-                               for label, report in reports]}
-        print(_dumps(payload))
+        print(_verify_json(all_passed, reports))
     else:
         for label, report in reports:
             for check in report.checks:

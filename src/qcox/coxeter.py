@@ -46,9 +46,16 @@ symmetric:
 * s_i s_j s_i - s_j s_i s_j - f (s_i - s_j) = x_i e_i u_i^T - x_j e_j u_j^T;
 * s_v^T G s_v - G = u_v k^T + k u_v^T, which is 0 exactly when u_v or k is.
 
-The numbering words, and the sink checks s C s^T and s Phi s, are built on
-the shared rows of the identity matrix, so only the rows the reflections
-change are computed and compared.
+The predicates read packed rows (below), built once per call from the
+library's own rows: the graph rows (``_graph_row``), 2G = 2E - q * (edge
+counts), with int coefficients (``_gram2``, whose half is
+``gram_matrix``), and the Cartan rows, which ``_gamma_row`` reads off
+A = X + X^T formed on the packed X, as ``gamma_reflection`` and
+``coxeter_matrix_bound`` read them off the Polynomial A.  So once C and
+C^-1 exist, the verifier does no Polynomial arithmetic.  The numbering
+words, and the sink checks s C s^T and s Phi s, are built on the shared
+rows of the identity matrix, so only the rows the reflections change are
+computed and compared.
 
 Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
@@ -62,13 +69,16 @@ Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), X C is at most phi
 and C^T (X C) at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), as
 the column sums of s are at most 1 + m, the C of a quiver with reversed
 arrows at most its norm, and the Euler-form matrices -(C^-1)^T Phi and
-Phi^T C^-1 Phi at most nu(C^-1) phi^2.  The row predicates above compare
-Polynomials and need no bound.  The Euler identities
-x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y) hold for all x, y
-exactly when C^-1 equals both, so they are checked exactly, as two matrix
-identities.
-The shared packed rows, and the norms of the bound, read only the nonzero
-entries, and form_invariance reads 2G, whose coefficients are ints.
+Phi^T C^-1 Phi at most nu(C^-1) phi^2.  Of the row predicates, a braid
+sum x_v is at most m + m^2 + 1 + c^2 for the largest edge count c, and the
+2G combination 2 (2G)_v + (2G)_vv u_v at most g (m + 3) for g = norm(2G),
+as u_v is at most m + 1.  The norm of each Cartan row is summed exactly
+from the coefficient lists of X_ij + X_ji; their product bounds the Cartan
+words, and their largest plus 1 bounds the entries of A.  The Euler
+identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y) hold for
+all x, y exactly when C^-1 equals both, so they are checked exactly, as
+two matrix identities.  The shared packed rows, and the norms of the
+bound, read only the nonzero entries.
 
 ``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms stay on
 Polynomial rows, where packing the inputs and unpacking the result would
@@ -84,14 +94,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
-from math import prod
-from operator import attrgetter, mul
+from itertools import compress, count, zip_longest
+from math import ceil, prod
+from operator import add, attrgetter, mul
 
 from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_inverse, cartan_matrix
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
-from .polyring import (MINUS_ONE, ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
+from .polyring import (MINUS_ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
                        packed_combination, poly_vector, row_combination, slot_width)
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
@@ -142,14 +152,6 @@ def _reflection_product(numbering, row_of, rows, combine=row_combination):
     return rows
 
 
-def _doubled(row) -> list[Polynomial]:
-    # 2 * row for entries whose doubles have integer coefficients, as ints
-    doubled = list(row)
-    for j in compress(count(), map(_COEFFS, row)):
-        doubled[j] = Polynomial._make([int(2 * c) for c in row[j].coeffs])
-    return doubled
-
-
 def _pack_rows(rows, w: int) -> list[list[int]]:
     # only the nonzero entries are packed; the others stay 0
     packed = []
@@ -188,15 +190,19 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
         numbering, lambda v: _graph_row(quiver, counts, v), PolyMatrix.identity(quiver.n).rows))
 
 
+def _gram2(counts: list[list[int]]) -> list[list[Polynomial]]:
+    # rows of 2G = 2E - q * counts, for counts = quiver.edge_counts(): twice
+    # the Gram matrix, with int coefficients
+    return [[Polynomial._make([2 * (i == j), -c]) if c else _TWO if i == j else ZERO
+             for j, c in enumerate(row)]
+            for i, row in enumerate(counts)]
+
+
 def gram_matrix(quiver: Quiver) -> PolyMatrix:
     """Matrix G of the graph bilinear form, so that (x, y) = x^T G y.
     Half-integer coefficients are exact rationals."""
-    counts = quiver.arrow_counts()
-    return PolyMatrix._make([
-        [Polynomial._make([int(i == j), Fraction(-(b + counts[j][i]), 2)])
-         if b or counts[j][i] else ONE if i == j else ZERO
-         for j, b in enumerate(row)]
-        for i, row in enumerate(counts)])
+    return PolyMatrix._make([[Polynomial._make([Fraction(c, 2) for c in e.coeffs]) for e in row]
+                             for row in _gram2(quiver.edge_counts())])
 
 
 def bilinear_form_graph(quiver: Quiver, x, y) -> Polynomial:
@@ -258,9 +264,12 @@ def symmetric_form_matrix(cartan: PolyMatrix,
     return inverse + inverse.transpose()
 
 
-def _gamma_row(form_matrix: PolyMatrix, i: int) -> tuple[Polynomial, ...]:
-    return tuple(ONE - a if j == i else -a if a.coeffs else ZERO
-                 for j, a in enumerate(form_matrix.rows[i]))
+def _gamma_row(form_row, i: int) -> list:
+    # row i of the Cartan reflection at i, from row i of A: Polynomial
+    # entries, or packed ones for the verifier
+    row = [-a if a else a for a in form_row]
+    row[i] = 1 - form_row[i]
+    return row
 
 
 def gamma_reflection(cartan: PolyMatrix, i: int,
@@ -271,7 +280,7 @@ def gamma_reflection(cartan: PolyMatrix, i: int,
         form_matrix = symmetric_form_matrix(cartan)
     if not 0 <= i < form_matrix.n:
         raise ValueError(f"vertex index {i} out of range")
-    return _reflection(_gamma_row(form_matrix, i), i)
+    return _reflection(_gamma_row(form_matrix.rows[i], i), i)
 
 
 def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
@@ -285,11 +294,12 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     method="reflections" multiplies Cartan reflections along an admissible
     numbering and additionally needs the quiver to be acyclic.  The two
     agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
-    matrix; C^-1 comes from ``algebra.cartan_inverse``.
+    matrix; C^-1 comes from ``algebra.cartan_inverse``, and the reflection
+    product of a relation-free quiver needs no C.
     """
     if method not in ("reflections", "cartan"):
         raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
-    if cartan is None:
+    if cartan is None and (method == "cartan" or bq.relations):
         cartan = cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
         # row j of Phi^T = -X^T C, X = C^-1, is the combination of C's rows
@@ -297,13 +307,19 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
         columns = zip(*(-cartan_inverse(bq, cartan)).rows)
         return PolyMatrix._make([row_combination(column, cartan.rows)
                                  for column in columns]).transpose()
+    # Errors come as with C first: without relations cartan_inverse raises
+    # what C would, and a cyclic quiver never gets past it; with relations
+    # the numbering (NotAcyclic) comes before C^-1 (NotUnimodular)
+    inverse = None if bq.relations else cartan_inverse(bq, cartan, degree_cap, max_dim)
     numbering = admissible_numbering(bq.quiver)
-    form = symmetric_form_matrix(cartan, cartan_inverse(bq, cartan))
+    if inverse is None:
+        inverse = cartan_inverse(bq, cartan)
+    form = symmetric_form_matrix(cartan, inverse)
     return PolyMatrix._make(_reflection_product(
-        numbering, lambda v: _gamma_row(form, v), PolyMatrix.identity(form.n).rows))
+        numbering, lambda v: _gamma_row(form.rows[v], v), PolyMatrix.identity(form.n).rows))
 
 
-def euler_form(cartan: PolyMatrix, x, y,
+def euler_form(cartan: PolyMatrix | None, x, y,
                inverse: PolyMatrix | None = None) -> Polynomial:
     """Bilinear Euler form x^T C^-1 y; vector entries may be polynomials."""
     if inverse is None:
@@ -317,7 +333,7 @@ def euler_form(cartan: PolyMatrix, x, y,
     return row_combination(yv, [(e,) for e in xm])[0]
 
 
-def symmetric_euler_form(cartan: PolyMatrix, x, y,
+def symmetric_euler_form(cartan: PolyMatrix | None, x, y,
                          inverse: PolyMatrix | None = None) -> Polynomial:
     """Symmetrized Euler form (x, y) = x^T A y / 2 with A = C^-1 + C^-T."""
     if inverse is None:
@@ -346,12 +362,9 @@ class CheckReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == "fail"]
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"identity": c.identity, "status": c.status, "reason": c.reason}
-                for c in self.checks]
 
-
-# Reflection identities decided on rows, by the closed forms of the module docstring
+# Reflection identities decided on packed rows, by the closed forms of the
+# module docstring
 
 def _unit(row, v: int) -> bool:
     """row == e_v, that is, u_v = 0."""
@@ -369,22 +382,22 @@ def _commutation_holds(rows, i: int, j: int) -> bool:
             and (not rows[j][i] or _unit(rows[i], i)))
 
 
-def _braid_holds(rows, i: int, j: int, factor: Polynomial) -> bool:
-    """s_i s_j s_i - s_j s_i s_j == factor * (s_i - s_j), for i != j."""
+def _braid_holds(rows, i: int, j: int, factor: int) -> bool:
+    """s_i s_j s_i - s_j s_i s_j == f * (s_i - s_j), for i != j and the
+    packed factor f."""
     cross = rows[i][j] * rows[j][i] - factor
     return all(not (rows[v][v] + cross) or _unit(rows[v], v) for v in (i, j))
 
 
 def _form_invariant(gram_row, v: int, row) -> bool:
     """s^T G s == G for the reflection s at v whose row v is row, G symmetric
-    with row v gram_row: 2 gram_row + G_vv u_v == 0, one row combination
-    that reads the entries where gram_row or u_v is nonzero.  It holds for
-    G exactly when it holds for 2G, whose coefficients are ints."""
+    with row v of 2G gram_row: 2 gram_row + (2G)_vv u_v == 0, one row
+    combination that reads the entries where gram_row or u_v is nonzero."""
     if _unit(row, v):
         return True
     u = list(row)
-    u[v] = u[v] - ONE
-    return not any(map(_COEFFS, row_combination((_TWO, gram_row[v]), (gram_row, u))))
+    u[v] -= 1
+    return not any(packed_combination((2, gram_row[v]), (gram_row, u)))
 
 
 # Packed words: ``eye`` is E's packed rows and refl_rows[v] is packed row v
@@ -417,10 +430,20 @@ def _two_sided(eye, rows, v: int, row) -> list[list[int]]:
     return [packed_combination(r, s) if r[v] else r for r in sm]
 
 
-def _letter_norms(rows) -> tuple[int, int]:
-    # (largest, product) of the norms of the reflections with these rows
-    norms = [norm([row]) for row in rows]
-    return max(norms), prod(norms)
+def _gamma_norms(rows) -> list[int]:
+    """The norm of each Cartan reflection row, -A_ij and 1 - A_ii for
+    A = X + X^T and X with these rows, summed exactly from the coefficient
+    lists of X_ij + X_ji."""
+    norms = []
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        total = 0 if row[i].coeffs else 1     # 1 - A_ii is 1 when X_ii is 0
+        for j in compress(count(), map(any, zip(map(_COEFFS, row), map(_COEFFS, column)))):
+            cs = [a + b for a, b in zip_longest(row[j].coeffs, column[j].coeffs, fillvalue=0)]
+            if j == i:
+                cs[0] -= 1
+            total += sum(map(abs, cs))
+        norms.append(ceil(total))
+    return norms
 
 
 def _euler_form_invariant(inverse_p, phi_rows, phi_columns) -> bool:
@@ -478,18 +501,22 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     terms = [1]
     if acyclic:
         graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
-        # 2G, so that form_invariance adds and multiplies ints
-        gram2 = [_doubled(row) for row in gram_matrix(quiver).rows]
-        m, p = _letter_norms(graph_rows)
-        terms.append(m * m * p)
+        gram2 = _gram2(counts)
+        norms = [norm([row]) for row in graph_rows]
+        m, p = max(norms), prod(norms)
+        c_max = max(map(max, counts))
+        # s Phi s, the braid sums and the 2G combinations
+        terms += [m * m * p, m * (m + 1) + c_max * c_max + 1, norm(gram2) * (m + 3)]
     if not why["inverse"]:
-        form = symmetric_form_matrix(cartan, inverse)
-        gamma_rows = [_gamma_row(form, i) for i in range(n)]
-        nu_c, nu_inverse = (max(norm(x.rows), norm(zip(*x.rows))) for x in (cartan, inverse))
+        gamma_norms = _gamma_norms(inverse.rows)
+        norm_c = norm(cartan.rows)
+        nu_c = max(norm_c, norm(zip(*cartan.rows)))
+        nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
         phi = nu_c * nu_inverse
-        terms += [_letter_norms(gamma_rows)[1], nu_c * phi, nu_inverse * phi * phi]
+        # the Cartan words, the entries of A, and the products with Phi
+        terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
     for _, flipped_c, _ in flipped:
-        terms += [m * (m + 1) * norm(cartan.rows), norm(flipped_c.rows)]
+        terms += [m * (m + 1) * norm_c, norm(flipped_c.rows)]
     w = slot_width(max(terms))
     eye = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -497,6 +524,7 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
 
     if acyclic:
         graph_p = _pack_rows(graph_rows, w)
+        gram2_p = _pack_rows(gram2, w)
         phi_graph = _word(eye, graph_p, *first)
     involutive = commuting = ()
     if not why["inverse"]:
@@ -510,11 +538,12 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                        for column in zip(*inverse_p)]
         phi_cartan = [list(row) for row in zip(*phi_columns)]
         xc = [packed_combination(row, cartan_p) for row in inverse_p]
-        gamma_p = _pack_rows(gamma_rows, w)
+        form_p = [list(map(add, row, column)) for row, column in zip(inverse_p, zip(*inverse_p))]
+        gamma_p = [_gamma_row(row, i) for i, row in enumerate(form_p)]
         gamma_first = _word(eye, gamma_p, *first) if acyclic else None
-        involutive = [i for i in range(n) if form.entry(i, i) == 2]
-        commuting = [(i, j) for i, row in enumerate(form.rows) for j in range(i + 1, n)
-                     if not row[j].coeffs]
+        involutive = [i for i in range(n) if form_p[i][i] == 2]
+        commuting = [(i, j) for i, row in enumerate(form_p) for j in range(i + 1, n)
+                     if not row[j]]
     why["involutive"] = "" if involutive else "no vertex with diagonal form entry 2"
     why["commuting"] = "" if commuting else "no vertex pair with vanishing form entry"
 
@@ -522,17 +551,16 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     # check runs only when every hypothesis holds
     table = (
         ("reflection_involution", ("acyclic",),
-         lambda: all(_involution_holds(graph_rows, i) for i in range(n))),
+         lambda: all(_involution_holds(graph_p, i) for i in range(n))),
         ("reflection_commutation", ("acyclic",),
-         lambda: all(_commutation_holds(graph_rows, i, j)
+         lambda: all(_commutation_holds(graph_p, i, j)
                      for i in range(n) for j in range(i + 1, n) if counts[i][j] == 0)),
-        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2
+        # factor m_ij(q) - 1, with m_ij(q) = c_ij c_ji q^2, packed
         ("reflection_braid", ("acyclic",),
-         lambda: all(_braid_holds(graph_rows, i, j,
-                                  Polynomial._make([-1, 0, counts[i][j] * counts[j][i]]))
+         lambda: all(_braid_holds(graph_p, i, j, (counts[i][j] * counts[j][i] << 2 * w) - 1)
                      for i in range(n) for j in range(i + 1, n) if counts[i][j])),
         ("form_invariance", ("acyclic",),
-         lambda: all(_form_invariant(gram2[i], i, graph_rows[i]) for i in range(n))),
+         lambda: all(_form_invariant(gram2_p[i], i, graph_p[i]) for i in range(n))),
         ("coxeter_numbering_independence", ("acyclic", "two_numberings"),
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
@@ -544,9 +572,9 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                      _word(eye, graph_p, *numbering)
                      for i, _, numbering in flipped)),
         ("gamma_involution", ("inverse", "involutive"),
-         lambda: all(_involution_holds(gamma_rows, i) for i in involutive)),
+         lambda: all(_involution_holds(gamma_p, i) for i in involutive)),
         ("gamma_commutation", ("inverse", "commuting"),
-         lambda: all(_commutation_holds(gamma_rows, i, j) for i, j in commuting)),
+         lambda: all(_commutation_holds(gamma_p, i, j) for i, j in commuting)),
         ("gamma_coxeter_vs_cartan", ("inverse", "acyclic"), lambda: gamma_first == phi_cartan),
         ("gamma_numbering_independence", ("inverse", "acyclic", "two_numberings"),
          lambda: _word(eye, gamma_p, *second) == gamma_first),

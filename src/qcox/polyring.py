@@ -47,7 +47,7 @@ as a product of ``norm`` values is.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import ceil
 from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -285,7 +285,7 @@ def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
 
     It bounds every coefficient, and norm(A*B) <= norm(A) * norm(B), as
     |a*b|_1 <= |a|_1 |b|_1 for the sums |.|_1 of |coefficient|."""
-    return max(1, ceil(max(sum(sum(map(abs, cs)) for cs in filter(None, map(_COEFFS, row)))
+    return max(1, ceil(max(sum(map(abs, chain.from_iterable(map(_COEFFS, row))))
                            for row in rows)))
 
 

@@ -131,18 +131,26 @@ class Quiver:
             out[a.source] = True
         return [i for i in range(self.n) if not out[i]]
 
+    @cached_property
+    def _smallest_sink_order(self) -> tuple[int, ...] | None:
+        # shared by validate, is_acyclic and admissible_numbering
+        return self._sink_order(1)
+
     def sink_order(self, prefer_largest: bool = False) -> tuple[int, ...] | None:
         """Sink-first vertex ordering: each entry is a sink of the subquiver
         on the vertices not yet listed, the smallest-index one at every step
         (largest with ``prefer_largest``).  None when some step finds no
         sink, that is, when the quiver has a directed cycle; a loop is one.
+        The smallest-first order is computed once per quiver.
         """
+        return self._sink_order(-1) if prefer_largest else self._smallest_sink_order
+
+    def _sink_order(self, sign: int) -> tuple[int, ...] | None:
         out_degree = [0] * self.n
         sources_into: list[list[int]] = [[] for _ in range(self.n)]
         for a in self.arrows:
             out_degree[a.source] += 1
             sources_into[a.target].append(a.source)
-        sign = -1 if prefer_largest else 1
         sinks = [sign * v for v in range(self.n) if not out_degree[v]]
         heapq.heapify(sinks)
         order = []

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
 
-from .algebra import iter_paths_by_degree
 from .quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation
 
 
@@ -54,11 +52,18 @@ def random_homogeneous_relations(rng: random.Random, quiver: Quiver,
                                  degrees: tuple[int, ...] = (2, 3),
                                  max_terms: int = 3) -> BoundQuiver:
     """Attach random homogeneous relations (equal-length parallel paths)."""
-    by_block: dict[tuple[int, int, int], list[Path]] = {}
-    for paths in islice(iter_paths_by_degree(quiver), 1, max(degrees) + 1):
-        for p in paths:
-            if p.length in degrees:
-                by_block.setdefault((p.source, p.target, p.length), []).append(p)
+    arrows = quiver.arrows
+    out = [[k for k, a in enumerate(arrows) if a.source == v] for v in range(quiver.n)]
+    # paths as (arrows, source, target), one length at a time and in
+    # lexicographic arrow order; a Path is made only for a drawn term
+    by_block: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    frontier = [((), v, v) for v in range(quiver.n)]
+    for length in range(1, max(degrees) + 1):
+        frontier = [(p + (idx,), source, arrows[idx].target)
+                    for p, source, target in frontier for idx in out[target]]
+        if length in degrees:
+            for p, source, target in frontier:
+                by_block.setdefault((source, target, length), []).append(p)
     blocks = sorted(by_block)
     relations = []
     if blocks:
@@ -68,7 +73,8 @@ def random_homogeneous_relations(rng: random.Random, quiver: Quiver,
             size = rng.randint(1, min(len(paths), max_terms))
             chosen = sorted(rng.sample(range(len(paths)), size))
             coeff_pool = [-2, -1, 1, 2, Fraction(3, 2)]
-            terms = tuple((Fraction(rng.choice(coeff_pool)), paths[i]) for i in chosen)
+            terms = tuple((Fraction(rng.choice(coeff_pool)), Path(paths[i], key[0], key[1]))
+                          for i in chosen)
             relations.append(Relation(terms))
     return BoundQuiver(quiver, tuple(relations), name="random")
 

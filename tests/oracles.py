@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import islice, permutations
 from math import comb
 
-from qcox.algebra import iter_paths_by_degree
 from qcox.errors import QuiverSyntaxError, ValidationError
 from qcox.polyring import Polynomial, PolyMatrix, parse_rational, poly_vector, row_combination
 from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation, validate
@@ -639,13 +638,47 @@ def path_from_arrows(quiver, arrow_indices) -> Path:
     return Path(tuple(arrow_indices), arrows[0].source, arrows[-1].target)
 
 
+def iter_paths_by_degree(quiver):
+    """Yield all paths of length 0, 1, 2, ... in lexicographic arrow order."""
+    frontier = [Path.trivial(v) for v in range(quiver.n)]
+    while True:
+        yield frontier
+        frontier = [Path(p.arrows + (idx,), p.source, a.target)
+                    for p in frontier for idx, a in enumerate(quiver.arrows)
+                    if a.source == p.target]
+
+
 def enumerate_paths(quiver, source: int, target: int, length: int) -> list[Path]:
     """All length-d paths source -> target, in the order of
-    ``algebra.iter_paths_by_degree`` (lexicographic in arrow indices)."""
+    ``iter_paths_by_degree`` (lexicographic in arrow indices)."""
     if length < 0:
         raise ValueError("path length must be non-negative")
     paths = next(islice(iter_paths_by_degree(quiver), length, None))
     return [p for p in paths if p.source == source and p.target == target]
+
+
+def dims_json_obj(table, vertex_names) -> dict:
+    """The object whose ``json.dumps(obj, indent=2)`` ``qcox dims
+    --format=json`` writes: entries sorted by (i, j, degree)."""
+    entries = [{"source": vertex_names[i], "target": vertex_names[j], "degree": d, "dim": value}
+               for (i, j), cs in sorted(table.cells.items())
+               for d, value in enumerate(cs) if value]
+    return {"dims": entries, "max_degree": table.max_degree}
+
+
+def checks_json_obj(report) -> list[dict]:
+    """The checks of a ``CheckReport`` as ``qcox verify --format=json``
+    writes them."""
+    return [{"identity": c.identity, "status": c.status, "reason": c.reason}
+            for c in report.checks]
+
+
+def verify_json_obj(reports) -> dict:
+    """The object whose ``json.dumps(obj, indent=2)`` ``qcox verify
+    --format=json`` writes, for (label, CheckReport) pairs."""
+    return {"passed": all(report.passed for _, report in reports),
+            "reports": [{"instance": label, "checks": checks_json_obj(report)}
+                        for label, report in reports]}
 
 
 def matrix_json_obj(m: PolyMatrix) -> dict:

@@ -400,6 +400,46 @@ def test_path_counts_raise_like_normal_words():
     assert seen == {"table", DegreeCapExceeded, DimensionBudgetExceeded}
 
 
+def _inverse_outcome(bq, degree_cap, max_dim):
+    try:
+        return cartan_inverse(bq, None, degree_cap, max_dim)
+    except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
+        return type(exc), str(exc), getattr(exc, "degree", None)
+
+
+def test_cartan_inverse_without_c_raises_like_the_cartan_matrix():
+    # without relations and without C, only the path totals run: the same
+    # exception at the same degree as cartan_matrix, or the inverse of its C
+    rng = random.Random(61)
+    seen = set()
+    for k in range(300):
+        bq = _relation_free(rng, cyclic=k % 2 == 1)
+        degree_cap = rng.randint(2, 7)
+        max_dim = rng.choice((1, 2, 3, 5, 8, 20, 60, 10 ** 6))
+        outcome = _inverse_outcome(bq, degree_cap, max_dim)
+        try:
+            c = cartan_matrix(bq, degree_cap, max_dim)
+        except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
+            assert outcome == (type(exc), str(exc), getattr(exc, "degree", None))
+            seen.add(type(exc))
+        else:
+            assert outcome == cartan_inverse(bq, c) == c.inverse_unimodular()
+            seen.add("inverse")
+    assert seen == {"inverse", DegreeCapExceeded, DimensionBudgetExceeded}
+    for bad in ((1, 10), (4, 0)):
+        with pytest.raises(ValueError):
+            cartan_inverse(BoundQuiver(_chain(3, 1)), None, *bad)
+
+
+def test_cartan_inverse_without_c_computes_it_with_relations(double_arrow_chain, three_cycle):
+    assert cartan_inverse(double_arrow_chain) == \
+        cartan_matrix(double_arrow_chain).inverse_unimodular()
+    with pytest.raises(NotUnimodular):
+        cartan_inverse(three_cycle)
+    with pytest.raises(DegreeCapExceeded):
+        cartan_inverse(three_cycle, None, 2)
+
+
 def test_parallel_arrow_chain_counts_powers_of_two():
     n = 20
     arrows = tuple(Arrow(f"a{i}{c}", i, i + 1) for i in range(n - 1) for c in range(2))

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcox.algebra import cartan_matrix
-from qcox.cli import main, poly_latex, render_matrix
+from qcox.algebra import GradedDimTable, cartan_matrix, graded_dims
+from qcox.cli import _dims_json, _verify_json, main, poly_latex, render_matrix
+from qcox.coxeter import CheckReport, CheckResult
 from qcox.polyring import Polynomial, PolyMatrix
-from qcox.quiverdsl import parse_quiver
+from qcox.quiverdsl import json_text, parse_quiver
 
-from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, matrix_from_json_obj,
-                     matrix_json_obj)
+from oracles import (dims_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
+                     matrix_from_json_obj, matrix_json_obj, verify_json_obj)
 
 A3_TEXT = """
 quiver a3 {
@@ -155,6 +156,54 @@ def sparse_matrices(draw):
                      [sparse_entry({1: Fraction(-3, 4), 70: 2}), 0]]))
 def test_matrix_json_writer_matches_json_dumps(m):
     assert render_matrix(m, "json", None) == json.dumps(matrix_json_obj(m), indent=2)
+
+
+_json_str = st.text(alphabet=st.sampled_from('ab_1 "\\/\n\té✓\x00\u2028'), max_size=10)
+
+
+@st.composite
+def check_reports(draw):
+    return CheckReport(tuple(draw(st.lists(st.builds(
+        CheckResult, _json_str, st.sampled_from(["pass", "fail", "skipped"]), _json_str),
+        max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_json_str, check_reports()), max_size=3))
+@example([("input", CheckReport((CheckResult("x", "skipped", 'a "b" \\ c \u00fc\u2713'),)))])
+def test_verify_json_writer_matches_json_text(reports):
+    payload = verify_json_obj(reports)
+    assert json_text(payload) == json.dumps(payload, indent=2)
+    assert _verify_json(payload["passed"], reports) == json_text(payload)
+
+
+@st.composite
+def dim_tables(draw):
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(_json_str, min_size=n, max_size=n, unique=True))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 st.lists(st.integers(0, 10 ** 20), min_size=1, max_size=4),
+                                 max_size=n * n))
+    return GradedDimTable(n, draw(st.integers(1, 5)), cells), names
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim_tables())
+@example((GradedDimTable(1, 1, {(0, 0): [1]}), ["1"]))
+def test_dims_json_writer_matches_json_text(case):
+    table, names = case
+    payload = dims_json_obj(table, names)
+    assert json_text(payload) == json.dumps(payload, indent=2)
+    assert _dims_json(table, names) == json_text(payload)
+
+
+def test_dims_json_writer_on_graded_dims():
+    for text in (DOUBLE_CHAIN_TEXT,
+                 "quiver one { vertices: 1; arrows: x: 1 -> 1; relations: x*x; }"):
+        bq = parse_quiver(text)
+        table = graded_dims(bq)
+        assert _dims_json(table, bq.quiver.vertices) == \
+            json.dumps(dims_json_obj(table, bq.quiver.vertices), indent=2)
 
 
 def test_at_q_one_matches_classical(qv, capsys):
@@ -333,6 +382,51 @@ def test_forms_json_stdout(qv, capsys, form, at_q, value):
     assert code == 0
     obj = {"form": form, **({"at_q": "1/2"} if at_q else {}), "value": value}
     assert out == json.dumps(obj, indent=2) + "\n"
+
+
+# relation-free inputs whose graded dimensions do not end
+_ENDLESS = [
+    ("loop", "quiver lp { vertices: 1; arrows: x: 1 -> 1; }",
+     "DegreeCapExceeded: no vanishing degree up to cap 64"),
+    ("two-cycle", "quiver c2 { vertices: 1, 2; arrows: u: 1 -> 2; v: 2 -> 1; }",
+     "DegreeCapExceeded: no vanishing degree up to cap 64"),
+    # 2^20 paths of length 20
+    ("two-loops", "quiver l2 { vertices: 1; arrows: x: 1 -> 1; y: 1 -> 1; }",
+     "DimensionBudgetExceeded: degree 20 has more than 1000000 basis elements"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in _ENDLESS],
+                         ids=[case[0] for case in _ENDLESS])
+@pytest.mark.parametrize("argv", [["forms", "--x=1,0", "--y=0,1"],
+                                  ["coxeter", "--method=reflections"]],
+                         ids=["forms", "reflections"])
+def test_c_free_commands_raise_what_the_cartan_matrix_raises(qv, capsys, text, message, argv):
+    path = qv("endless.qv", text)
+    n = parse_quiver(text).quiver.n
+    command, *options = argv
+    if command == "forms":
+        options = [o.split(",")[0] + ",0" * (n - 1) for o in options]
+    expected = (2, "", f"error: {message}\n")
+    assert run_cli(capsys, "cartan", path) == expected
+    assert run_cli(capsys, command, path, *options) == expected
+
+
+@pytest.mark.parametrize("argv", [["forms", "--x=1,0,2", "--y=0,1,1"],
+                                  ["forms", "--symmetric", "--x=1,0,2", "--y=0,1,1"],
+                                  ["coxeter", "--method=reflections"]])
+def test_c_free_commands_compute_no_cartan_matrix_without_relations(qv, capsys, monkeypatch,
+                                                                    argv):
+    import qcox.algebra as algebra_module
+    path = qv("a3.qv", A3_TEXT)
+    before = run_cli(capsys, argv[0], path, *argv[1:])
+    assert before[0] == 0
+
+    def no_graded_dims(*args):
+        raise AssertionError("graded dimensions computed")
+
+    monkeypatch.setattr(algebra_module, "graded_dims", no_graded_dims)
+    assert run_cli(capsys, argv[0], path, *argv[1:]) == before
 
 
 def test_form_vectors_keep_integral_entries_int():

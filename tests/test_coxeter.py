@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcox.algebra import cartan_inverse, cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
-                          _doubled, _euler_form_invariant, _form_invariant, _involution_holds,
+                          _euler_form_invariant, _form_invariant, _gram2, _involution_holds,
                           _pack_rows, _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
@@ -20,9 +21,9 @@ from qcox.polyring import ONE, Polynomial, PolyMatrix, pack, slot_width
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import (frac_inverse, frac_mul, frac_neg, frac_transpose, is_identity,
-                     is_symmetric, mul_vector, naive_matmul, random_cyclic_bound_quiver,
-                     scaled)
+from oracles import (checks_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
+                     is_identity, is_symmetric, mul_vector, naive_matmul,
+                     random_cyclic_bound_quiver, scaled)
 
 
 def P(*coeffs):
@@ -570,13 +571,15 @@ def test_verify_identities_random_all_pass():
     for _ in range(6):
         bq = random_bound_quiver(rng)
         report = verify_identities(bq)
-        assert report.passed, report.to_json_obj()
+        assert report.passed, checks_json_obj(report)
         assert not report.failures()
 
 
 def test_check_report_json_shape():
+    from qcox.cli import _verify_json
     report = verify_identities(BoundQuiver(A3))
-    obj = report.to_json_obj()
+    obj = json.loads(_verify_json(report.passed, [("input", report)]))["reports"][0]["checks"]
+    assert obj == checks_json_obj(report)
     assert isinstance(obj, list)
     assert all(set(item) == {"identity", "status", "reason"} for item in obj)
 
@@ -613,8 +616,10 @@ _coeff = st.integers(-2, 2)
 _poly = st.lists(_coeff, max_size=3).map(Polynomial)
 # Each row below, and each row of the matrices M, has a |coefficient| sum of
 # at most 40 (at most 5 entries, each at most 2q plus two perturbations of at
-# most 3 coefficients in [-2, 2]).  So s M s^T and s M s have coefficients
-# far below 2^29: packed values at width 32 compare as their polynomials do.
+# most 3 coefficients in [-2, 2]).  So s M s^T and s M s, the braid sums
+# (at most 40 + 40^2 + 5) and the 2G combinations (at most 2 * 10 + 2 * 41)
+# have coefficients far below 2^29: packed values at width 32 compare as
+# their polynomials do.
 W = 32
 
 
@@ -663,15 +668,17 @@ _ONE_EDGE = [[0, 1], [1, 0]]
 @example((2, _ONE_EDGE, [(P(1), P(0, 1)), (P(0, 1), P(-1))]), 0, 0)
 @example((2, [[0, 2], [2, 0]], [(P(0, 2), P(-1)), (P(0, 2), P())]), 1, 0)
 def test_row_local_checks_match_full_matrix_identities(case, i, step):
+    # the predicates read packed rows, as the verifier's do
     n, counts, rows = case
     i %= n
     j = (i + 1 + step % (n - 1)) % n
     si, sj = _full(n, rows, i), _full(n, rows, j)
-    assert _involution_holds(rows, i) == is_identity(naive_matmul(si, si))
-    assert _commutation_holds(rows, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
+    packed = _pack_rows(rows, W)
+    assert _involution_holds(packed, i) == is_identity(naive_matmul(si, si))
+    assert _commutation_holds(packed, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
     left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
-    assert _braid_holds(rows, i, j, factor) == (left == scaled(si - sj, factor))
+    assert _braid_holds(packed, i, j, pack(factor, W)) == (left == scaled(si - sj, factor))
     multigraph = Quiver(tuple(str(v) for v in range(n)),
                         tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
                               for b in range(a + 1, n) for k in range(counts[a][b])))
@@ -679,9 +686,10 @@ def test_row_local_checks_match_full_matrix_identities(case, i, step):
     assert gram == PolyMatrix([[ONE if a == b else P(0, Fraction(-counts[a][b], 2))
                                 for b in range(n)] for a in range(n)])
     invariant = naive_matmul(naive_matmul(si.transpose(), gram), si) == gram
-    assert _form_invariant(gram.rows[i], i, rows[i]) == invariant
-    # the verifier reads 2G, with int coefficients
-    assert _form_invariant(_doubled(gram.rows[i]), i, rows[i]) == invariant
+    # the verifier reads 2G, with int coefficients; G is its half
+    gram2 = _gram2(multigraph.edge_counts())
+    assert scaled(gram, 2) == PolyMatrix(gram2)
+    assert _form_invariant(_pack_rows(gram2, W)[i], i, packed[i]) == invariant
 
 
 @settings(max_examples=100, deadline=None)
@@ -702,9 +710,12 @@ def test_sink_conjugates_match_full_matrix_products(case, data):
 def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
     # the products the verifier still packs: Phi, the numbering words, X C,
     # C^T (X C), and per sink s Phi s, s C s^T and the reversed quiver's C and
-    # numbering word
+    # numbering word; and what the row predicates compare: the braid sums
+    # and their products u_ij u_ji, the 2G combinations and their two
+    # terms, and the entries of A
     import qcox.coxeter as coxeter_module
     from qcox.coxeter import _gamma_row, _graph_row, _reflection_product
+    from qcox.polyring import row_combination
     from test_cli_golden import golden_quivers
     bounds = []
     monkeypatch.setattr(coxeter_module, "slot_width", lambda b: bounds.append(b) or slot_width(b))
@@ -726,10 +737,23 @@ def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
         xc = naive_matmul(inverse, c)
         products = [phi, xc, naive_matmul(c.transpose(), xc)]
         numberings = [admissible_numbering(quiver), admissible_numbering(quiver, True)]
-        for refl in ([_graph_row(quiver, counts, v) for v in range(n)],
-                     [_gamma_row(form, v) for v in range(n)]):
+        graph = [_graph_row(quiver, counts, v) for v in range(n)]
+        for refl in (graph, [_gamma_row(form.rows[v], v) for v in range(n)]):
             products += [_reflection_product(numbering, refl.__getitem__, eye)
                          for numbering in numberings]
+        gram2 = _gram2(counts)
+        compared = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if counts[i][j]:
+                    cross = graph[i][j] * graph[j][i]
+                    factor = P(-1, 0, counts[i][j] * counts[j][i])
+                    compared += [cross, factor] + [graph[v][v] + cross - factor for v in (i, j)]
+            u = list(graph[i])
+            u[i] = u[i] - 1
+            compared += [*row_combination((P(2), gram2[i][i]), (gram2[i], u)),
+                         *(P(2) * e for e in gram2[i]), *(gram2[i][i] * e for e in u)]
+        products += [[compared], form]
         for sink in quiver.sinks():
             s = graph_reflection(quiver, sink)
             flipped = sigma_reflect(quiver, sink)
@@ -779,6 +803,28 @@ def test_verifier_packs_only_nonzero_entries_on_chains(monkeypatch):
         assert 0 < len(calls) < 3 * nnz
 
 
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
+
+
+def test_verifier_does_no_polynomial_arithmetic_without_relations(monkeypatch):
+    # without relations C and C^-1 are built from counts, and every check
+    # reads packed rows: not one Polynomial or Fraction sum, product or
+    # negation is formed
+    calls = Counter()
+    for cls in (Polynomial, Fraction):
+        for name in _ARITHMETIC:
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, _f=original, _k=(cls.__name__, name):
+                                calls.update([_k]) or _f(*args))
+    rng = random.Random(29)
+    quivers = [_parallel_chain([1] * 19), _parallel_chain([1] * 39)]
+    quivers += [BoundQuiver(random_acyclic_quiver(rng, 3, 9)) for _ in range(20)]
+    for bq in quivers:
+        report = verify_identities(bq)
+        assert report.passed
+        assert not calls, (bq.quiver.n, calls)
+
+
 @pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),
                                                  ("_gamma_row", "gamma_involution")])
 def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_maker,
@@ -787,10 +833,14 @@ def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_
     original = getattr(coxeter_module, row_maker)
 
     def corrupted(*args):
-        row = list(original(*args))
+        row = original(*args)
         if args[-1] == 1:
-            row[1] = row[1] + P(0, 1)
-        return tuple(row)
+            # the graph rows are Polynomials, and the verifier's Cartan rows
+            # packed ints: the diagonal entry gains q or 1
+            row = list(row)
+            row[1] = row[1] + (P(0, 1) if row_maker == "_graph_row" else 1)
+            assert isinstance(row[1], Polynomial if row_maker == "_graph_row" else int)
+        return row
 
     monkeypatch.setattr(coxeter_module, row_maker, corrupted)
     report = verify_identities(BoundQuiver(A3))
