@@ -27,10 +27,26 @@ arrow counts B, and graded dimensions that terminate make B nilpotent, so
 ``cartan_inverse`` returns C^-1 = E - qB exactly, with no elimination.
 Whether they terminate is decided by the path totals 1^T B^d 1 alone
 (``_path_totals``): the path count engine runs that check first, and
-``cartan_inverse`` without a given C runs nothing else.  No dimension is
-counted by listing paths.
+``cartan_inverse`` without a given C runs nothing else.  On an acyclic
+quiver one pass in sink order counts all paths and the longest one; when
+they fit both limits, no limit can fire and the totals are skipped.  No
+dimension is counted by listing paths.
 
-Both engines append each degree's nonzero counts to one coefficient
+When every relation is a single path, the ideal is spanned by the paths
+containing a relation, so the relations are already a Groebner basis and
+the normal words are the paths containing none: no elimination is
+needed.  A normal word of degree d-1 followed by an arrow is normal
+unless a relation equals a suffix of it, and with L the longest relation
+only its last L-1 arrows decide that.  So the words are counted per
+state (source, target, last <= L-1 arrows), one arrow at a time, which
+is Ufnarovski's graph; finite and infinite quotients take the same
+steps.  The errors come at the normal-word engine's degree: it turns a
+row NF(p*r) into a nonzero row exactly when p*r[:-1] is normal, that is
+once per candidate and relation equal to the candidate's suffix, so
+counting those pairs, duplicates included, gives the row count of its
+``max_dim`` pre-check.
+
+All three engines append each degree's nonzero counts to one coefficient
 list per nonzero (source, target) cell, padding a cell that skipped
 degrees with zeros.  Those lists are the coefficients of the Cartan
 entries: ``cartan_matrix`` wraps them into rows as they are, and
@@ -40,7 +56,7 @@ Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
 later degree vanishes too.  If no such degree exists below the cap,
 DegreeCapExceeded is raised; a degree whose basis would grow past
-``max_dim`` raises DimensionBudgetExceeded.  Both branches raise at the
+``max_dim`` raises DimensionBudgetExceeded.  All engines raise at the
 same degree.
 """
 
@@ -106,15 +122,18 @@ class _Degree:
         previous degree ending where the arrow starts; ``step`` is the
         arrow's position among the arrows out of that vertex."""
         out: dict = {}
+        reduced = False
         for w, c in combo.items():
             k = self.base[w] + step
             image = self.reduce.get(k)
             if image is None:
                 out[k] = out.get(k, 0) + c
             else:
+                reduced = True
                 for v, e in image.items():
                     out[v] = out.get(v, 0) + c * e
-        return {k: c for k, c in out.items() if c}
+        # distinct words extend to distinct candidates: only images cancel
+        return {k: c for k, c in out.items() if c} if reduced else out
 
 
 def _check_limits(degree_cap: int, max_dim: int) -> None:
@@ -127,10 +146,15 @@ def _check_limits(degree_cap: int, max_dim: int) -> None:
 def graded_dims(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
                 max_dim: int = DEFAULT_MAX_DIM) -> GradedDimTable:
     """Graded dimension table of the quotient algebra, by path counts without
-    relations and from normal words with them (see the module docstring)."""
+    relations, by counting normal words on states when every relation is one
+    path, and from normal words with them otherwise (see the module
+    docstring)."""
     _check_limits(degree_cap, max_dim)
     if not bq.relations:
         return _path_count_dims(bq.quiver, degree_cap, max_dim)
+    if all(len(rel.terms) == 1 for rel in bq.relations):
+        forbidden = Counter(path.arrows for rel in bq.relations for c, path in rel.terms if c)
+        return _monomial_dims(bq.quiver, forbidden, degree_cap, max_dim)
     return _normal_word_dims(bq, degree_cap, max_dim)
 
 
@@ -147,11 +171,15 @@ def _append_degree(cells: dict[tuple[int, int], list[int]], degree: int,
         cs.append(c)
 
 
-def _path_totals(arrow_counts: list[list[int]], degree_cap: int, max_dim: int) -> int:
-    """The first degree d >= 1 without paths for the arrow counts B, from
-    the path totals 1^T B^d 1, which are the path algebra's dimensions.
-    Raises as the module docstring says."""
-    steps = [[(u, m) for u, m in enumerate(row) if m] for row in arrow_counts]
+def _path_steps(arrow_counts: list[list[int]]) -> list[list[tuple[int, int]]]:
+    return [[(u, m) for u, m in enumerate(row) if m] for row in arrow_counts]
+
+
+def _path_totals(steps: list[list[tuple[int, int]]], degree_cap: int, max_dim: int) -> int:
+    """The first degree d >= 1 without paths for the arrow counts B, given
+    as the (target, count) steps out of each vertex, from the path totals
+    1^T B^d 1, which are the path algebra's dimensions.  Raises as the
+    module docstring says."""
     ends = [1] * len(steps)     # paths of the current degree ending at each vertex
     for degree in range(1, degree_cap + 1):
         last, ends = ends, [0] * len(steps)
@@ -166,14 +194,34 @@ def _path_totals(arrow_counts: list[list[int]], degree_cap: int, max_dim: int) -
     raise DegreeCapExceeded(degree_cap)
 
 
+def _vanishing_degree(quiver: Quiver, steps: list[list[tuple[int, int]]],
+                      degree_cap: int, max_dim: int) -> int:
+    """What ``_path_totals`` returns.  On acyclic input one pass in sink
+    order counts the paths P(v) = 1 + sum m * P(u) over the arrows v -> u
+    and the longest path l; no degree holds more than sum P(v) - n paths
+    and l + 1 is the answer, so when neither limit can fire the per-degree
+    totals are skipped.  Otherwise they run, for the exact error."""
+    order = quiver.sink_order()
+    if order is not None:
+        paths = [1] * len(steps)
+        longest = [0] * len(steps)
+        for v in order:
+            for u, m in steps[v]:
+                paths[v] += m * paths[u]
+                longest[v] = max(longest[v], longest[u] + 1)
+        top = max(longest) + 1
+        if sum(paths) - len(steps) <= max_dim and top <= degree_cap:
+            return top
+    return _path_totals(steps, degree_cap, max_dim)
+
+
 def _path_count_dims(quiver: Quiver, degree_cap: int, max_dim: int) -> GradedDimTable:
-    """Graded dims of the path algebra below the degree ``_path_totals``
+    """Graded dims of the path algebra below the degree ``_vanishing_degree``
     finds: counts[i, j] is the number of paths of the current degree from
     i to j, for the nonzero counts only."""
     n = quiver.n
-    arrow_counts = quiver.arrow_counts()
-    top = _path_totals(arrow_counts, degree_cap, max_dim)
-    steps = [[(u, m) for u, m in enumerate(row) if m] for row in arrow_counts]
+    steps = _path_steps(quiver.arrow_counts())
+    top = _vanishing_degree(quiver, steps, degree_cap, max_dim)
     counts = {(v, v): 1 for v in range(n)}
     cells = {(v, v): [1] for v in range(n)}
     for degree in range(1, top):
@@ -183,6 +231,53 @@ def _path_count_dims(quiver: Quiver, degree_cap: int, max_dim: int) -> GradedDim
                 counts[i, u] = counts.get((i, u), 0) + c * m
         _append_degree(cells, degree, counts)
     return GradedDimTable(n, top, cells)
+
+
+def _monomial_dims(quiver: Quiver, forbidden: Mapping[tuple[int, ...], int],
+                   degree_cap: int, max_dim: int) -> GradedDimTable:
+    """Graded dims of the quotient by the paths ``forbidden`` (arrow words,
+    with their multiplicity as relations), from counts of normal words per
+    state (source, (target, last <= L-1 arrows)); see the module docstring."""
+    n = quiver.n
+    out = _out_arrows(quiver)
+    tgt = [a.target for a in quiver.arrows]
+    lengths = {len(word) for word in forbidden}
+    keep = max(lengths, default=1) - 1
+    # per automaton state (target, suffix): candidates, relation hits, next states
+    moves: dict[tuple, tuple[int, int, list]] = {}
+    states = {(v, (v, ())): 1 for v in range(n)}
+    cells = {(v, v): [1] for v in range(n)}
+    for degree in range(1, degree_cap + 1):
+        last, states, counts = states, {}, {}
+        n_cand = rows = 0
+        for (s, state), c in last.items():
+            move = moves.get(state)
+            if move is None:
+                t, suffix = state
+                hits, nexts = 0, []
+                for a in out[t]:
+                    word = suffix + (a,)
+                    h = sum(forbidden.get(word[-k:], 0) for k in lengths if k <= len(word))
+                    hits += h
+                    if not h:
+                        nexts.append((tgt[a], word[1:] if len(word) > keep else word))
+                move = moves[state] = (len(out[t]), hits, nexts)
+            k, hits, nexts = move
+            n_cand += c * k
+            rows += c * hits
+            for nxt in nexts:
+                states[s, nxt] = states.get((s, nxt), 0) + c
+                counts[s, nxt[0]] = counts.get((s, nxt[0]), 0) + c
+        # the normal-word engine's pre-check, on its row count
+        if n_cand - rows > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        words = sum(counts.values())
+        if words > max_dim:
+            raise DimensionBudgetExceeded(max_dim, degree)
+        if not words:
+            return GradedDimTable(n, degree, cells)
+        _append_degree(cells, degree, counts)
+    raise DegreeCapExceeded(degree_cap)
 
 
 def _normal_word_dims(bq: BoundQuiver, degree_cap: int, max_dim: int) -> GradedDimTable:
@@ -240,7 +335,7 @@ def _relation_rows(starts: dict[int, list[list]], degrees: list, degree: int,
                    step: list[int]) -> dict[tuple[int, int], list]:
     """The new ideal rows NF(p*r) of one degree over its candidates,
     grouped by (source, target) block."""
-    cur = degrees[degree]
+    base = degrees[degree].base
     memo: dict[tuple, dict] = {}
 
     def normal_form(length: int, p: int, prefix: tuple[int, ...]) -> dict:
@@ -264,8 +359,10 @@ def _relation_rows(starts: dict[int, list[list]], degrees: list, degree: int,
             for target, terms in by_source[low.tgt[p]]:
                 row: dict = {}
                 for coeff, path in terms:
-                    for k, c in cur.append(normal_form(length, p, path[:-1]),
-                                           step[path[-1]]).items():
+                    # this degree has no reduction map yet: the last arrow only renumbers
+                    last = step[path[-1]]
+                    for w, c in normal_form(length, p, path[:-1]).items():
+                        k = base[w] + last
                         row[k] = row.get(k, 0) + coeff * c
                 row = {k: c for k, c in row.items() if c}
                 if row:
@@ -293,7 +390,7 @@ def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
     without relations (see the module docstring), else
     ``cartan.inverse_unimodular()``, which raises NotUnimodular.  Without a
     given C, what ``cartan_matrix`` raises under the limits is raised too:
-    by ``_path_totals`` alone when there are no relations."""
+    by ``_vanishing_degree`` alone when there are no relations."""
     if bq.relations:
         if cartan is None:
             cartan = cartan_matrix(bq, degree_cap, max_dim)
@@ -301,7 +398,7 @@ def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
     arrow_counts = bq.quiver.arrow_counts()
     if cartan is None:
         _check_limits(degree_cap, max_dim)
-        _path_totals(arrow_counts, degree_cap, max_dim)
+        _vanishing_degree(bq.quiver, _path_steps(arrow_counts), degree_cap, max_dim)
     return PolyMatrix._make([[Polynomial._make([int(i == j), -b]) if b else ONE if i == j else ZERO
                               for j, b in enumerate(row)]
                              for i, row in enumerate(arrow_counts)])

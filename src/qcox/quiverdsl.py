@@ -261,8 +261,17 @@ def validate(bq: BoundQuiver) -> ValidationReport:
     reflection machinery, which checks them itself).
     """
     q = bq.quiver
+    src = [a.source for a in q.arrows]
+    tgt = [a.target for a in q.arrows]
     issues: list[RelationIssue] = []
     for idx, rel in enumerate(bq.relations):
+        if len(rel.terms) == 1:
+            # a clean one-term relation has no issue: skip the full scan
+            coeff, path = rel.terms[0]
+            p = path.arrows
+            if coeff and len(p) >= 2 and \
+                    [*map(tgt.__getitem__, p[:-1])] == [*map(src.__getitem__, p[1:])]:
+                continue
         issues.extend(_relation_issues(q, idx, rel))
     return ValidationReport(
         connected=q.is_connected(),

@@ -1,18 +1,25 @@
 import random
+from fractions import Fraction
+from itertools import count, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, cartan_inverse, cartan_matrix,
-                          dim_vector, graded_dims)
+import qcox.algebra as algebra_module
+from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, _path_steps, _path_totals,
+                          _vanishing_degree, cartan_inverse, cartan_matrix, dim_vector,
+                          graded_dims)
 from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded, NotUnimodular
 from qcox.polyring import Polynomial, PolyMatrix
-from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
+from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, Relation, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (classical_cartan_by_path_counts, det_permutation_sum, dim, enumerate_paths,
                      exterior, exterior_dims, is_identity, koszul_inverse, mul_vector,
-                     naive_degree_dims, naive_graded_dims, preprojective, preprojective_dims,
-                     random_cyclic_bound_quiver, total_at, truncated, truncated_dims)
+                     naive_degree_dims, naive_graded_dims, path_from_arrows, preprojective,
+                     preprojective_dims, random_cyclic_bound_quiver,
+                     random_quadratic_monomial_quiver, total_at, truncated, truncated_dims)
 
 
 def P(*coeffs):
@@ -284,11 +291,16 @@ def test_graded_dims_exterior_binomials(k):
     (2, [(0, 1), (0, 1), (1, 0)], 5),
     (1, [(0, 0), (0, 0)], 6),
     (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 5),
+    (2, [(0, 1), (0, 1), (1, 0), (1, 0)], 6),
+    (3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)], 6),
 ])
 def test_graded_dims_truncated_path_counts(n, pairs, length):
-    table = graded_dims(truncated(n, pairs, length))
+    bq = truncated(n, pairs, length)
+    table = graded_dims(bq, degree_cap=length)
     assert dict(table.dims) == truncated_dims(n, pairs, length)
     assert table.max_degree == length
+    with pytest.raises(DegreeCapExceeded):
+        graded_dims(bq, degree_cap=length - 1)
 
 
 def test_graded_dims_match_naive_oracle_cyclic():
@@ -400,9 +412,9 @@ def test_path_counts_raise_like_normal_words():
     assert seen == {"table", DegreeCapExceeded, DimensionBudgetExceeded}
 
 
-def _inverse_outcome(bq, degree_cap, max_dim):
+def _raised(f, *args):
     try:
-        return cartan_inverse(bq, None, degree_cap, max_dim)
+        return f(*args)
     except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
         return type(exc), str(exc), getattr(exc, "degree", None)
 
@@ -416,7 +428,7 @@ def test_cartan_inverse_without_c_raises_like_the_cartan_matrix():
         bq = _relation_free(rng, cyclic=k % 2 == 1)
         degree_cap = rng.randint(2, 7)
         max_dim = rng.choice((1, 2, 3, 5, 8, 20, 60, 10 ** 6))
-        outcome = _inverse_outcome(bq, degree_cap, max_dim)
+        outcome = _raised(cartan_inverse, bq, None, degree_cap, max_dim)
         try:
             c = cartan_matrix(bq, degree_cap, max_dim)
         except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
@@ -447,3 +459,155 @@ def test_parallel_arrow_chain_counts_powers_of_two():
     assert dict(table.dims) == {(i, j, j - i): 2 ** (j - i)
                                 for i in range(n) for j in range(i, n)}
     assert table.max_degree == n
+
+
+def test_vanishing_degree_raises_like_the_path_totals():
+    # the one-pass count in sink order decides only when no limit can fire:
+    # at the limits and around them, the answer or the error is the path
+    # totals' own, and so is the table's last degree
+    rng = random.Random(67)
+    seen = set()
+    for k in range(200):
+        bq = _relation_free(rng, cyclic=k % 3 == 2)
+        steps = _path_steps(bq.quiver.arrow_counts())
+        caps, budgets = [rng.randint(2, 7)], [rng.choice((1, 3, 20, 10 ** 6))]
+        if bq.quiver.is_acyclic():
+            full = graded_dims(bq)
+            top = full.max_degree
+            paths = sum(full.dims.values()) - bq.quiver.n
+            widest = max((total_at(full, d) for d in range(1, top)), default=0)
+            caps += [top - 1, top, top + 1]
+            budgets += [paths - 1, paths, widest - 1, widest]
+        for degree_cap, max_dim in product(caps, budgets):
+            if degree_cap < 2 or max_dim < 1:
+                continue
+            expected = _raised(_path_totals, steps, degree_cap, max_dim)
+            assert _raised(_vanishing_degree, bq.quiver, steps, degree_cap, max_dim) == expected
+            table = _raised(graded_dims, bq, degree_cap, max_dim)
+            assert getattr(table, "max_degree", table) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else "degree")
+    assert seen == {"degree", DegreeCapExceeded, DimensionBudgetExceeded}
+
+
+def test_path_totals_run_only_where_a_limit_can_fire(monkeypatch):
+    calls = []
+    real = algebra_module._path_totals
+    monkeypatch.setattr(algebra_module, "_path_totals",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    chain = BoundQuiver(_chain(60, 1))
+    assert graded_dims(chain).max_degree == 60
+    cartan_inverse(chain)
+    for quiver in (random_acyclic_quiver(random.Random(seed)) for seed in range(20)):
+        graded_dims(BoundQuiver(quiver))
+    assert calls == []
+    # 1770 paths of positive length, at most 59 in one degree
+    assert graded_dims(chain, 60, 1769).max_degree == 60
+    with pytest.raises(DegreeCapExceeded):
+        cartan_inverse(chain, None, 59)
+    assert calls == [(60, 1769), (59, DEFAULT_MAX_DIM)]
+
+
+# --- monomial relations: normal words counted on states ----------------------
+
+@st.composite
+def _monomial_quivers(draw):
+    """A quiver on 1-3 vertices with 1-4 arrows, loops and cycles allowed,
+    bound by one-term relations: composable paths of length 2-4, repeats of
+    earlier relations, and earlier relations extended on either side, so
+    that one lies inside another.  Coefficients need not be 1."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    out = [[k for k, (s, _) in enumerate(pairs) if s == v] for v in range(n)]
+    into = [[k for k, (_, t) in enumerate(pairs) if t == v] for v in range(n)]
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(("fresh", "fresh", "repeat", "extend")))
+        if how == "repeat" and words:
+            words.append(draw(st.sampled_from(words)))
+            continue
+        if how == "extend" and words:
+            word = list(draw(st.sampled_from(words)))
+        else:
+            word = [draw(st.integers(0, len(pairs) - 1))]
+        for _ in range(draw(st.integers(1, 3))):
+            right = draw(st.booleans())
+            arrows = out[pairs[word[-1]][1]] if right else into[pairs[word[0]][0]]
+            if arrows:
+                word.insert(len(word) if right else 0, draw(st.sampled_from(arrows)))
+        if len(word) >= 2:
+            words.append(word)
+    quiver = Quiver(tuple(str(v) for v in range(n)),
+                    tuple(Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(pairs)))
+    coeffs = st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 2)))
+    return BoundQuiver(quiver, tuple(Relation(((draw(coeffs), path_from_arrows(quiver, w)),))
+                                     for w in words))
+
+
+THREE_LOOPS = parse_quiver("""
+quiver monomial {
+  vertices: 0;
+  arrows: a0: 0 -> 0; a1: 0 -> 0; a2: 0 -> 0;
+  relations: a0*a0; a0*a2; a1*a0; a2*a0; a2*a2;
+}
+""")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_quivers(), st.integers(2, 12),
+       st.sampled_from((1, 2, 3, 5, 10, 30, 100, 1000)))
+@example(THREE_LOOPS, 12, 100)
+@example(THREE_LOOPS, 6, 1000)
+@example(truncated(2, [(0, 1), (0, 1), (1, 0)], 5), 12, 1000)
+def test_monomial_counts_match_normal_words(bq, degree_cap, max_dim):
+    # the same table, or the same exception at the same degree and message
+    assert _outcome(graded_dims, bq, degree_cap, max_dim) == \
+        _outcome(_normal_word_dims, bq, degree_cap, max_dim)
+
+
+def test_monomial_counts_match_the_naive_oracle():
+    rng = random.Random(71)
+    finite = endless = 0
+    while finite + endless < 40:
+        bq = random_quadratic_monomial_quiver(rng)
+        if len(bq.quiver.arrows) > 3:
+            continue            # keeps the dense naive oracle fast
+        try:
+            table = graded_dims(bq, degree_cap=4)
+        except DegreeCapExceeded:
+            assert all(naive_degree_dims(bq, d) for d in range(1, 5))
+            endless += 1
+        else:
+            assert (dict(table.dims), table.max_degree) == naive_graded_dims(bq, 4)
+            finite += 1
+    assert finite >= 5 and endless >= 5
+
+
+def test_three_loop_monomial_algebra_counts_lucas_numbers():
+    # its normal words of length d number L_{d+1}, for the Lucas numbers
+    # L_0 = 2, L_1 = 1, L_{k+1} = L_k + L_{k-1}; the first degree past a
+    # budget raises
+    lucas = [2, 1]
+    while lucas[-1] <= 10 ** 6:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert (lucas[28], lucas[29]) == (710_647, 1_149_851)
+    for d in range(1, 6):
+        assert naive_degree_dims(THREE_LOOPS, d) == {(0, 0): lucas[d + 1]}
+    for e in range(1, 7):
+        with pytest.raises(DimensionBudgetExceeded) as info:
+            graded_dims(THREE_LOOPS, max_dim=10 ** e)
+        assert info.value.degree == next(d for d in count() if lucas[d + 1] > 10 ** e)
+    assert info.value.degree == 28
+
+
+def test_monomial_relations_run_no_elimination(monkeypatch):
+    def no_echelon(rows):
+        raise AssertionError("echelon called")
+
+    monkeypatch.setattr(algebra_module, "echelon", no_echelon)
+    pairs = [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)]
+    assert dict(graded_dims(truncated(3, pairs, 6)).dims) == truncated_dims(3, pairs, 6)
+    with pytest.raises(DimensionBudgetExceeded):
+        cartan_matrix(THREE_LOOPS)
+    with pytest.raises(AssertionError, match="echelon called"):
+        graded_dims(exterior(2))

@@ -175,3 +175,26 @@ def test_cli_stdout_is_byte_identical(label, tmp_path, capsys):
     code, digest, err = stdout_digest(capsys, argv)
     assert (code, err) == (0, "")
     assert digest == GOLDEN[label]
+
+
+# The monomial 3-loop algebra: its normal words of length d number the Lucas
+# number L_{d+1}, and L_29 = 1,149,851 is the first past the default budget.
+THREE_LOOPS_INPUT = """
+quiver monomial {
+  vertices: 0;
+  arrows: a0: 0 -> 0; a1: 0 -> 0; a2: 0 -> 0;
+  relations: a0*a0; a0*a2; a1*a0; a2*a0; a2*a2;
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [["dims"], ["cartan"], ["coxeter"],
+                                  ["forms", "--x=1", "--y=1"], ["verify"]],
+                         ids=lambda argv: argv[0])
+def test_three_loop_monomial_algebra_exits_2_at_default_caps(argv, tmp_path, capsys):
+    path = tmp_path / "monomial.qv"
+    path.write_text(THREE_LOOPS_INPUT)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: DimensionBudgetExceeded: degree 28 has more than 1000000 basis elements\n")

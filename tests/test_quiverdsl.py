@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcox.errors import QcoxError, QuiverSyntaxError, ValidationError
-from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, _tokenize, emit_json,
-                            emit_text, json_text, load_file, parse_json,
+from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, Relation, _relation_issues,
+                            _tokenize, emit_json, emit_text, json_text, load_file, parse_json,
                             parse_json_obj, parse_quiver, validate)
 
 from oracles import (naive_sink_order, neighbours, parse_quiver_reference, path_from_arrows,
@@ -171,6 +171,37 @@ def test_validate_flags():
     loop = parse_quiver("quiver l { vertices: 1; arrows: a: 1 -> 1; }")
     rep = validate(loop)
     assert rep.passed and not rep.acyclic and rep.loop_arrows == ("a",)
+
+
+_THREE_ARROWS = Quiver(("1", "2", "3"), (Arrow("a", 0, 1), Arrow("b", 1, 2), Arrow("c", 1, 0)))
+
+
+@st.composite
+def _dirty_relations(draw):
+    """Relations on _THREE_ARROWS, mostly one-term: any coefficient, zero
+    included, any length from 0 to 4, arrows in any order, composable or
+    not, with source and target taken from the first and last arrow."""
+    relations = []
+    for _ in range(draw(st.integers(0, 6))):
+        terms = []
+        for _ in range(draw(st.sampled_from((1, 1, 1, 2)))):
+            arrows = tuple(draw(st.lists(st.integers(0, 2), max_size=4)))
+            first, last = (_THREE_ARROWS.arrows[arrows[k]] if arrows else Arrow("", 0, 0)
+                           for k in (0, -1))
+            coeff = draw(st.sampled_from((0, 1, -2, Fraction(3, 2))))
+            terms.append((Fraction(coeff), Path(arrows, first.source, last.target)))
+        relations.append(Relation(tuple(terms)))
+    return BoundQuiver(_THREE_ARROWS, tuple(relations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dirty_relations())
+@example(BoundQuiver(_THREE_ARROWS, (Relation(((Fraction(0), Path((2, 1), 1, 2)),)),)))
+def test_validate_reports_every_relation_issue_in_order(bq):
+    # validate skips the full scan only on clean one-term relations
+    expected = tuple(issue for idx, rel in enumerate(bq.relations)
+                     for issue in _relation_issues(bq.quiver, idx, rel))
+    assert validate(bq).relation_issues == expected
 
 
 def test_sink_order():
