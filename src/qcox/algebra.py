@@ -19,18 +19,19 @@ independent (source, target) blocks, each reduced exactly by
 the others are the normal words of degree d.  Work per degree is bounded
 by dim A_{d-1} times the number of arrows, not by the number of paths.
 
-Without relations every path is a normal word, so dim e_i A_d e_j is
-the number of paths of length d from i to j, counted one arrow at a time
-on the nonzero (source, target) cells: a degree costs those cells times
-their out-degree, not its number of paths.  Then C = sum_d (qB)^d for the
-arrow counts B, and graded dimensions that terminate make B nilpotent, so
-``cartan_inverse`` returns C^-1 = E - qB exactly, with no elimination.
-Whether they terminate is decided by the path totals 1^T B^d 1 alone
-(``_path_totals``): the path count engine runs that check first, and
-``cartan_inverse`` without a given C runs nothing else.  On an acyclic
-quiver one pass in sink order counts all paths and the longest one; when
-they fit both limits, no limit can fire and the totals are skipped.  No
-dimension is counted by listing paths.
+Without relations every path is a normal word, so dim e_i A_d e_j is the
+number of paths of length d from i to j, counted one arrow at a time on
+the nonzero (source, target) cells: a degree costs those cells times their
+out-degree, not its number of paths.  Then C = sum_d (qB)^d for the arrow
+counts B, and graded dimensions that terminate make B nilpotent, so
+C^-1 = E - qB exactly, with no elimination: ``inverse_entries`` lists its
+nonzero entries, and ``cartan_inverse`` and the ``coxeter`` module read
+them.  Whether they terminate is decided by the path totals 1^T B^d 1
+alone (``_path_totals``): the path count engine runs that check first, and
+``check_path_limits`` runs nothing else.  On an acyclic quiver one pass in
+sink order counts all paths and the longest one; when they fit both
+limits, no limit can fire and the totals are skipped.  No dimension is
+counted by listing paths.
 
 When every relation is a single path, the ideal is spanned by the paths
 containing a relation, so the relations are already a Groebner basis and
@@ -49,7 +50,8 @@ counting those pairs, duplicates included, gives the row count of its
 All three engines append each degree's nonzero counts to one coefficient
 list per nonzero (source, target) cell, padding a cell that skipped
 degrees with zeros.  Those lists are the coefficients of the Cartan
-entries: ``cartan_matrix`` wraps them into rows as they are, and
+entries: ``GradedDimTable.cartan`` (and ``cartan_matrix``) wraps them into
+rows as they are, the verifier packs them without a Polynomial, and
 ``GradedDimTable.dims`` lists their nonzero entries by (i, j, degree).
 
 Degrees are processed in ascending order and stop at the first degree
@@ -69,7 +71,7 @@ from itertools import compress, count, repeat
 from typing import Mapping
 
 from .errors import DegreeCapExceeded, DimensionBudgetExceeded
-from .polyring import ONE, ZERO, Polynomial, PolyMatrix, echelon
+from .polyring import ZERO, Polynomial, PolyMatrix, echelon
 # the benchmark's span tracer wraps rank_rational as an attribute of this module
 from .polyring import rank_rational  # noqa: F401
 from .quiverdsl import BoundQuiver, Quiver
@@ -93,6 +95,17 @@ class GradedDimTable:
     def dims(self) -> dict[tuple[int, int, int], int]:
         return {(i, j, d): value for (i, j), cs in self.cells.items()
                 for d, value in enumerate(cs) if value}
+
+    def cartan(self) -> PolyMatrix:
+        """The Cartan matrix whose entry (i, j) has the coefficients of cell
+        (i, j)."""
+        rows = [[ZERO] * self.n for _ in range(self.n)]
+        new = object.__new__
+        for (i, j), cs in self.cells.items():
+            # a cell's last coefficient is nonzero: no trim (Polynomial._make)
+            p = rows[i][j] = new(Polynomial)
+            p.coeffs = tuple(cs)
+        return PolyMatrix._make(rows)
 
 
 def _out_arrows(quiver: Quiver) -> list[list[int]]:
@@ -375,33 +388,50 @@ def cartan_matrix(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     """q-weighted Cartan matrix: entry (i, j) counts the graded dimensions
     of the component from i to j, one power of q per degree; it is the
     table's coefficient list of cell (i, j)."""
-    table = graded_dims(bq, degree_cap, max_dim)
-    n = bq.quiver.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), cs in table.cells.items():
-        rows[i][j] = Polynomial._make(cs)
-    return PolyMatrix._make(rows)
+    return graded_dims(bq, degree_cap, max_dim).cartan()
+
+
+def check_path_limits(quiver: Quiver, degree_cap: int = DEFAULT_DEGREE_CAP,
+                      max_dim: int = DEFAULT_MAX_DIM) -> None:
+    """Raise what ``cartan_matrix`` raises under the limits for the quiver
+    without relations, from ``_vanishing_degree`` alone: no dimension is
+    counted."""
+    _check_limits(degree_cap, max_dim)
+    _vanishing_degree(quiver, _path_steps(quiver.arrow_counts()), degree_cap, max_dim)
+
+
+def inverse_entries(arrow_counts: list[list[int]]) -> list[list[tuple[int, int, int]]]:
+    """The nonzero entries of E - qB for the arrow counts B, which is C^-1
+    without relations (see the module docstring): per row i, (j, c0, c1)
+    for the entry c0 + c1 q."""
+    rows = []
+    for i, row in enumerate(arrow_counts):
+        entries = [(j, 0, -row[j]) for j in compress(count(), row) if j != i]
+        entries.append((i, 1, -row[i]))
+        rows.append(entries)
+    return rows
 
 
 def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
                    degree_cap: int = DEFAULT_DEGREE_CAP,
                    max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
     """C^-1 for bq's own Cartan matrix C: E - q*B for the arrow counts B
-    without relations (see the module docstring), else
+    without relations (``inverse_entries``), else
     ``cartan.inverse_unimodular()``, which raises NotUnimodular.  Without a
     given C, what ``cartan_matrix`` raises under the limits is raised too:
-    by ``_vanishing_degree`` alone when there are no relations."""
+    by ``check_path_limits`` alone when there are no relations."""
     if bq.relations:
         if cartan is None:
             cartan = cartan_matrix(bq, degree_cap, max_dim)
         return cartan.inverse_unimodular()
-    arrow_counts = bq.quiver.arrow_counts()
     if cartan is None:
-        _check_limits(degree_cap, max_dim)
-        _vanishing_degree(bq.quiver, _path_steps(arrow_counts), degree_cap, max_dim)
-    return PolyMatrix._make([[Polynomial._make([int(i == j), -b]) if b else ONE if i == j else ZERO
-                              for j, b in enumerate(row)]
-                             for i, row in enumerate(arrow_counts)])
+        check_path_limits(bq.quiver, degree_cap, max_dim)
+    n = bq.quiver.n
+    rows = [[ZERO] * n for _ in range(n)]
+    for row, entries in zip(rows, inverse_entries(bq.quiver.arrow_counts())):
+        for j, c0, c1 in entries:
+            row[j] = Polynomial._make([c0, c1])
+    return PolyMatrix._make(rows)
 
 
 KINDS = ("simple", "projective", "injective")

@@ -15,14 +15,17 @@ import argparse
 import random
 import sys
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 
 from . import algebra, coxeter
 from .errors import QcoxError, ValidationError
 from .polyring import Polynomial, PolyMatrix, format_rational, parse_rational
 from .quiverdsl import BoundQuiver, emit_json_obj, emit_text, json_text, load_file
 from .randquiver import random_bound_quiver
+
+_COEFFS = attrgetter("coeffs")
 
 
 def poly_latex(p: Polynomial) -> str:
@@ -78,8 +81,13 @@ def render_matrix(m: PolyMatrix, fmt: str, at_q: Fraction | None) -> str:
     else:
         if fmt == "json":
             # json_text({"n": ..., "entries": ...}) written straight from the
-            # coefficients: str of an int or a Fraction needs no escaping
-            rows = (",\n      ".join(map(_entry_json, row)) for row in m.rows)
+            # coefficients: str of an int or a Fraction needs no escaping.
+            # Each distinct entry is written once
+            coeffs = [list(map(_COEFFS, row)) for row in m.rows]
+            written = dict.fromkeys(chain.from_iterable(coeffs))
+            for cs in written:
+                written[cs] = _entry_json(cs)
+            rows = (",\n      ".join(map(written.__getitem__, row)) for row in coeffs)
             return ('{\n  "n": ' + str(m.n) + ',\n  "entries": [\n    [\n      '
                     + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}")
         cells = [[poly_latex(e) if fmt == "latex" else str(e) for e in row]
@@ -91,10 +99,10 @@ _COEFF_SEP = '",\n        "'
 _ZERO_COEFF = "0" + _COEFF_SEP
 
 
-def _entry_json(p: Polynomial) -> str:
-    # the coefficient strings joined by _COEFF_SEP; a run of k zeros before a
-    # nonzero coefficient is written as k copies of _ZERO_COEFF
-    cs = p.coeffs
+def _entry_json(cs: tuple) -> str:
+    # the coefficient strings of an entry, given by its coefficients, joined
+    # by _COEFF_SEP; a run of k zeros before a nonzero coefficient is written
+    # as k copies of _ZERO_COEFF
     if not cs:
         return "[]"
     parts = []

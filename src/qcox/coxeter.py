@@ -19,20 +19,21 @@ product is built one row update per reflection, never as a matrix product.
 
 ``verify_identities`` runs every identity the library promises on a given
 bound quiver and reports pass/fail/skipped per identity.  It computes the
-shared data once (C and C^-1, the slot width, the packed rows, Phi's
-columns, both admissible numberings, the Cartan matrices with the arrows
-at a sink reversed), then runs one loop over a table of (identity,
-hypotheses, check) entries in report order.  A hypothesis is acyclic,
-relation_free, inverse (graded dimensions terminate and C is unimodular),
-reversed_sinks (they terminate with the arrows at each sink reversed),
-two_numberings, involutive (some diagonal entry of A is 2) or commuting
-(some off-diagonal entry of A vanishes).  A check whose hypotheses fail is
-skipped with the reason of the first failing one; otherwise it passes or
-fails.  C^-1 is ``algebra.cartan_inverse`` (E - q * arrow counts without
-relations), and projective_injective_duality certifies it: for the X used,
-Phi = -C^T X, and -Phi C = C^T holds exactly when X C = E, as C^T is
-invertible.  It is checked as C^T (X C) == C^T, with X C formed first, so
-both products read only the nonzero entries of X and of X C.
+shared data once (the graded dimensions, whose cells are C, and C^-1, the
+slot width, the packed rows, Phi's columns, both admissible numberings,
+the graded dimensions with the arrows at a sink reversed), then runs one
+loop over a table of (identity, hypotheses, check) entries in report
+order.  A hypothesis is acyclic, relation_free, inverse (graded dimensions
+terminate and C is unimodular), reversed_sinks (they terminate with the
+arrows at each sink reversed), two_numberings, involutive (some diagonal
+entry of A is 2) or commuting (some off-diagonal entry of A vanishes).  A
+check whose hypotheses fail is skipped with the reason of the first
+failing one; otherwise it passes or fails.  C^-1 is E - q * arrow counts
+without relations (``algebra.inverse_entries``) and the elimination
+inverse with them, and projective_injective_duality certifies it: for the
+X used, Phi = -C^T X, and -Phi C = C^T holds exactly when X C = E, as C^T
+is invertible.  It is checked as C^T (X C) == C^T, with X C formed first,
+so both products read only the nonzero entries of X and of X C.
 
 Identities between reflections at one or two vertices are decided from
 their rows alone.  The reflection at v is s_v = E + e_v u_v^T, with u_v its
@@ -46,21 +47,25 @@ symmetric:
 * s_i s_j s_i - s_j s_i s_j - f (s_i - s_j) = x_i e_i u_i^T - x_j e_j u_j^T;
 * s_v^T G s_v - G = u_v k^T + k u_v^T, which is 0 exactly when u_v or k is.
 
-The predicates read packed rows (below), built once per call from the
-library's own rows: the graph rows (``_graph_row``), 2G = 2E - q * (edge
-counts), with int coefficients (``_gram2``, whose half is
-``gram_matrix``), and the Cartan rows, which ``_gamma_row`` reads off
-A = X + X^T formed on the packed X, as ``gamma_reflection`` and
-``coxeter_matrix_bound`` read them off the Polynomial A.  So once C and
-C^-1 exist, the verifier does no Polynomial arithmetic.  The numbering
-words, and the sink checks s C s^T and s Phi s, are built on the shared
-rows of the identity matrix, so only the rows the reflections change are
-computed and compared.
+The predicates read packed rows (below), built once per call straight from
+counts and cells, never from a Polynomial matrix that holds the same
+numbers: the graph rows, -1 at v and c_vj 2^w elsewhere for the edge
+counts c (``_packed_graph_rows``), and 2G = 2E - q * c, 2 and -c_ij 2^w
+(``_packed_gram2``; ``gram_matrix`` is G); C, one ``pack`` per nonzero
+cell of ``algebra.graded_dims`` (``_pack_cells``), and so each reversed
+sink's C; X = C^-1, 1 on the diagonal and -b_ij 2^w off it without
+relations (``_packed_inverse``) and the packed elimination inverse with
+them; and the Cartan rows, which ``_gamma_row`` reads off A = X + X^T
+formed on the packed X, as ``gamma_reflection`` reads them off the
+Polynomial A.  So without relations the verifier builds no Polynomial, and
+with them only C and its inverse.  The numbering words, and the sink
+checks s C s^T and s Phi s, are built on the shared rows of the identity
+matrix, so only the rows the reflections change are computed and compared.
 
-Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det C =
-1), so it packs each entry p as the integer p(2^w) (``polyring.pack``) and
-compares integers, which is exact when every compared coefficient is at
-most B in absolute value and w = slot_width(B).  B comes once per call
+Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det
+C = 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``)
+and compares integers, which is exact when every compared coefficient is
+at most B in absolute value and w = slot_width(B).  B comes once per call
 from the input norms: ``norm`` (the max row sum) is submultiplicative, and
 so is nu(X) = max(norm(X), norm(X^T)), which also bounds X^T.  With m and
 p the largest and the product of the reflections' norms, a numbering word
@@ -69,25 +74,35 @@ Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), X C is at most phi
 and C^T (X C) at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), as
 the column sums of s are at most 1 + m, the C of a quiver with reversed
 arrows at most its norm, and the Euler-form matrices -(C^-1)^T Phi and
-Phi^T C^-1 Phi at most nu(C^-1) phi^2.  Of the row predicates, a braid
-sum x_v is at most m + m^2 + 1 + c^2 for the largest edge count c, and the
-2G combination 2 (2G)_v + (2G)_vv u_v at most g (m + 3) for g = norm(2G),
-as u_v is at most m + 1.  The norm of each Cartan row is summed exactly
-from the coefficient lists of X_ij + X_ji; their product bounds the Cartan
-words, and their largest plus 1 bounds the entries of A.  The Euler
-identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y) hold for
-all x, y exactly when C^-1 equals both, so they are checked exactly, as
-two matrix identities.  The shared packed rows, and the norms of the
-bound, read only the nonzero entries.
+Phi^T C^-1 Phi at most nu(C^-1) phi^2.  Of the row predicates, a braid sum
+x_v is at most m + m^2 + 1 + c^2 for the largest edge count c, and the 2G
+combination 2 (2G)_v + (2G)_vv u_v at most g (m + 3) for g = norm(2G), as
+u_v is at most m + 1.  The product of the Cartan rows' norms bounds the
+Cartan words, and their largest plus 1 bounds the entries of A.  Every
+norm is read off counts and cells, as the Polynomial rows would give it:
+graph row v has norm 1 + sum_j c_vj, so g = m + 1; C's coefficients are
+dimensions, never negative, so norm(C) and norm(C^T) are the largest row
+and column sums of the cells (``_cell_norms``); without relations nu(C^-1)
+is 1 plus the largest row or column sum of B, and the Cartan rows are the
+graph rows (below), so their norms agree.  With relations the norm of each
+Cartan row is summed exactly from the coefficient lists of X_ij + X_ji
+(``_gamma_norms``), and nu(C^-1) is taken on the elimination inverse.  The
+Euler identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y)
+hold for all x, y exactly when C^-1 equals both, so they are checked
+exactly, as two matrix identities.  The shared packed rows, and the norms
+of the bound, read only the nonzero entries.
 
 ``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms stay on
 Polynomial rows, where packing the inputs and unpacking the result would
 cost more than the product.  ``coxeter_matrix_bound`` forms
 Phi^T = -X^T C, X = C^-1, one row at a time: row j is the combination of
-C's rows that column j of -X names, and Phi is its transpose.  For
-X = E - qB without relations every coefficient is a monomial, -1 or b q,
-so row j is row j of C negated plus one shifted add of row k of C per
-vertex k with arrows k -> j; a relation-bound X costs what C^T (-X) costs.
+C's rows that column j of -X names, and Phi is its transpose.  For X = E - qB without
+relations every coefficient is a monomial, -1 or b q, read off the arrow
+counts, so row j is row j of C negated plus one shifted add of row k of C
+per vertex k with arrows k -> j; a relation-bound X costs what C^T (-X)
+costs.  Without relations A = X + X^T = 2E - q(B + B^T), so the Cartan
+reflection row at v, -A_vj and 1 - A_vv = -1, is the graph row at v: the
+reflection product multiplies graph rows and forms no A.
 """
 
 from __future__ import annotations
@@ -98,7 +113,8 @@ from itertools import compress, count, zip_longest
 from math import ceil, prod
 from operator import add, attrgetter, mul
 
-from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, cartan_inverse, cartan_matrix
+from . import algebra
+from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, GradedDimTable
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
 from .polyring import (MINUS_ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
@@ -158,18 +174,68 @@ def _pack_rows(rows, w: int) -> list[list[int]]:
     for row in rows:
         out = [0] * len(row)
         for j in compress(count(), map(_COEFFS, row)):
-            out[j] = pack(row[j], w)
+            out[j] = pack(row[j].coeffs, w)
         packed.append(out)
     return packed
+
+
+def _pack_cells(table: GradedDimTable, w: int) -> list[list[int]]:
+    # packed rows of the table's Cartan matrix, one pack per nonzero cell
+    rows = [[0] * table.n for _ in range(table.n)]
+    for (i, j), cs in table.cells.items():
+        rows[i][j] = pack(cs, w)
+    return rows
+
+
+def _cell_norms(table: GradedDimTable) -> tuple[int, int]:
+    """norm(C) and norm(C^T) for the table's Cartan matrix C: its
+    coefficients are dimensions, never negative, so these are the largest
+    row and column sums of the cells."""
+    rows, columns = [0] * table.n, [0] * table.n
+    for (i, j), cs in table.cells.items():
+        total = sum(cs)
+        rows[i] += total
+        columns[j] += total
+    return max(rows), max(columns)
+
+
+def _packed_graph_rows(counts: list[list[int]], w: int) -> list[list[int]]:
+    # packed row v of the graph reflection at v, from the edge counts of a
+    # quiver without loops: -1 at v and c_vj q elsewhere
+    rows = [[c << w for c in row] for row in counts]
+    for v, row in enumerate(rows):
+        row[v] = -1
+    return rows
+
+
+def _packed_gram2(counts: list[list[int]], w: int) -> list[list[int]]:
+    # packed rows of 2G = 2E - q * counts, for a quiver without loops
+    rows = [[-c << w for c in row] for row in counts]
+    for v, row in enumerate(rows):
+        row[v] = 2
+    return rows
+
+
+def _packed_inverse(entries: list[list[tuple[int, int, int]]], w: int) -> list[list[int]]:
+    # packed rows of C^-1 = E - qB from its entries (algebra.inverse_entries)
+    rows = [[0] * len(entries) for _ in entries]
+    for row, nonzero in zip(rows, entries):
+        for j, c0, c1 in nonzero:
+            row[j] = c0 + (c1 << w)
+    return rows
 
 
 def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
     # row i of the graph reflection at i, from counts = quiver.edge_counts(),
     # whose diagonal counts each loop twice
-    if counts[i][i]:
+    counts_i = counts[i]
+    if counts_i[i]:
         raise LoopAtVertex(quiver.vertices[i])
-    return tuple(MINUS_ONE if j == i else Polynomial._make([0, c]) if c else ZERO
-                 for j, c in enumerate(counts[i]))
+    row = [ZERO] * len(counts_i)
+    for j in compress(count(), counts_i):
+        row[j] = Polynomial._make([0, counts_i[j]])
+    row[i] = MINUS_ONE
+    return tuple(row)
 
 
 def graph_reflection(quiver: Quiver, i: int) -> PolyMatrix:
@@ -185,6 +251,10 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
     sink leftmost.  Independent of which admissible numbering is chosen."""
     if numbering is None:
         numbering = admissible_numbering(quiver)
+    return _graph_product(quiver, numbering)
+
+
+def _graph_product(quiver: Quiver, numbering: tuple[int, ...]) -> PolyMatrix:
     counts = quiver.edge_counts()
     return PolyMatrix._make(_reflection_product(
         numbering, lambda v: _graph_row(quiver, counts, v), PolyMatrix.identity(quiver.n).rows))
@@ -294,29 +364,45 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     method="reflections" multiplies Cartan reflections along an admissible
     numbering and additionally needs the quiver to be acyclic.  The two
     agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
-    matrix; C^-1 comes from ``algebra.cartan_inverse``, and the reflection
-    product of a relation-free quiver needs no C.
+    matrix; C^-1 comes from ``algebra.cartan_inverse``.  Without relations
+    C^-1 = E - qB, so A = 2E - q(B + B^T) and the Cartan reflection rows
+    are the graph rows: the reflection product multiplies those and needs
+    no C, and -C^-1 is read from the arrow counts.
     """
     if method not in ("reflections", "cartan"):
         raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
     if cartan is None and (method == "cartan" or bq.relations):
-        cartan = cartan_matrix(bq, degree_cap, max_dim)
+        cartan = algebra.cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
         # row j of Phi^T = -X^T C, X = C^-1, is the combination of C's rows
         # that column j of -X names (see the module docstring)
-        columns = zip(*(-cartan_inverse(bq, cartan)).rows)
+        if bq.relations:
+            columns = zip(*(-algebra.cartan_inverse(bq, cartan)).rows)
+        else:
+            columns = _minus_inverse_columns(bq.quiver)
         return PolyMatrix._make([row_combination(column, cartan.rows)
                                  for column in columns]).transpose()
-    # Errors come as with C first: without relations cartan_inverse raises
-    # what C would, and a cyclic quiver never gets past it; with relations
-    # the numbering (NotAcyclic) comes before C^-1 (NotUnimodular)
-    inverse = None if bq.relations else cartan_inverse(bq, cartan, degree_cap, max_dim)
+    if not bq.relations:
+        # errors come as with C first: the limits raise what C would, and a
+        # cyclic quiver never gets past them
+        if cartan is None:
+            algebra.check_path_limits(bq.quiver, degree_cap, max_dim)
+        return _graph_product(bq.quiver, admissible_numbering(bq.quiver))
+    # with relations the numbering (NotAcyclic) comes before C^-1 (NotUnimodular)
     numbering = admissible_numbering(bq.quiver)
-    if inverse is None:
-        inverse = cartan_inverse(bq, cartan)
-    form = symmetric_form_matrix(cartan, inverse)
+    form = symmetric_form_matrix(cartan, algebra.cartan_inverse(bq, cartan))
     return PolyMatrix._make(_reflection_product(
         numbering, lambda v: _gamma_row(form.rows[v], v), PolyMatrix.identity(form.n).rows))
+
+
+def _minus_inverse_columns(quiver: Quiver) -> list[list[Polynomial]]:
+    # the columns of -C^-1 = qB - E without relations, from its entries
+    n = quiver.n
+    columns = [[ZERO] * n for _ in range(n)]
+    for i, entries in enumerate(algebra.inverse_entries(quiver.arrow_counts())):
+        for j, c0, c1 in entries:
+            columns[j][i] = Polynomial._make([-c0, -c1])
+    return columns
 
 
 def euler_form(cartan: PolyMatrix | None, x, y,
@@ -468,10 +554,12 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     why = {"acyclic": "" if acyclic else "requires an acyclic quiver",
            "relation_free": "requires a relation-free quiver" if bq.relations else ""}
 
-    # Cartan matrix of the bound quiver and its inverse, shared by everything below
+    # graded dimensions of the bound quiver, whose cells are C, and with
+    # relations C^-1 by elimination, shared by everything below
     try:
-        cartan = cartan_matrix(bq, degree_cap, max_dim)
-        inverse = cartan_inverse(bq, cartan)
+        table = algebra.graded_dims(bq, degree_cap, max_dim)
+        if bq.relations:
+            inverse = table.cartan().inverse_unimodular()
         why["inverse"] = ""
     except DegreeCapExceeded as exc:
         why["inverse"] = f"graded dimensions did not terminate ({exc})"
@@ -480,14 +568,14 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     # relation-free theorems compare graph products against the Cartan matrix
     sink_theorems = ("acyclic", "relation_free", "inverse")
     # per sink, with its arrows reversed (which can make paths longer):
-    # Cartan matrix and numbering.  Edge counts ignore arrow directions, so
+    # graded dimensions and numbering.  Edge counts ignore arrow directions, so
     # the reversed quiver has the input's graph reflections.
     flipped = []
     why["reversed_sinks"] = ""
     try:
         for i in () if any(why[h] for h in sink_theorems) else quiver.sinks():
             f = sigma_reflect(quiver, i)
-            flipped.append((i, cartan_matrix(BoundQuiver(f), degree_cap, max_dim),
+            flipped.append((i, algebra.graded_dims(BoundQuiver(f), degree_cap, max_dim),
                             admissible_numbering(f)))
     except DegreeCapExceeded as exc:
         why["reversed_sinks"] = (f"graded dimensions with the arrows at sink "
@@ -497,39 +585,49 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         first, second = admissible_numbering(quiver), admissible_numbering(quiver, True)
     why["two_numberings"] = "only one admissible numbering available" if first == second else ""
 
-    # one slot width for the call, from the bounds of the module docstring
+    # one slot width for the call, from the bounds of the module docstring,
+    # with the norms read off counts and cells
     terms = [1]
     if acyclic:
-        graph_rows = [_graph_row(quiver, counts, i) for i in range(n)]
-        gram2 = _gram2(counts)
-        norms = [norm([row]) for row in graph_rows]
+        # graph row v has norm 1 + sum_j c_vj, and 2G has norm m + 1
+        norms = [1 + sum(row) for row in counts]
         m, p = max(norms), prod(norms)
         c_max = max(map(max, counts))
         # s Phi s, the braid sums and the 2G combinations
-        terms += [m * m * p, m * (m + 1) + c_max * c_max + 1, norm(gram2) * (m + 3)]
+        terms += [m * m * p, m * (m + 1) + c_max * c_max + 1, (m + 1) * (m + 3)]
     if not why["inverse"]:
-        gamma_norms = _gamma_norms(inverse.rows)
-        norm_c = norm(cartan.rows)
-        nu_c = max(norm_c, norm(zip(*cartan.rows)))
-        nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
+        norm_c, norm_ct = _cell_norms(table)
+        nu_c = max(norm_c, norm_ct)
+        if bq.relations:
+            gamma_norms = _gamma_norms(inverse.rows)
+            nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
+        else:
+            # the Cartan rows are the graph rows (coxeter_matrix_bound), and
+            # C^-1 = E - qB
+            gamma_norms = norms
+            arrows = quiver.arrow_counts()
+            nu_inverse = 1 + max(max(map(sum, arrows)), max(map(sum, zip(*arrows))))
         phi = nu_c * nu_inverse
         # the Cartan words, the entries of A, and the products with Phi
         terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
-    for _, flipped_c, _ in flipped:
-        terms += [m * (m + 1) * norm_c, norm(flipped_c.rows)]
+    for _, flipped_table, _ in flipped:
+        terms += [m * (m + 1) * norm_c, _cell_norms(flipped_table)[0]]
     w = slot_width(max(terms))
     eye = [[0] * n for _ in range(n)]
     for i in range(n):
         eye[i][i] = 1
 
     if acyclic:
-        graph_p = _pack_rows(graph_rows, w)
-        gram2_p = _pack_rows(gram2, w)
+        graph_p = _packed_graph_rows(counts, w)
+        gram2_p = _packed_gram2(counts, w)
         phi_graph = _word(eye, graph_p, *first)
     involutive = commuting = ()
     if not why["inverse"]:
-        cartan_p = _pack_rows(cartan.rows, w)
-        inverse_p = _pack_rows(inverse.rows, w)
+        cartan_p = _pack_cells(table, w)
+        if bq.relations:
+            inverse_p = _pack_rows(inverse.rows, w)
+        else:
+            inverse_p = _packed_inverse(algebra.inverse_entries(arrows), w)
         # column j of Phi = -C^T C^-1 is the combination of C's rows that
         # column j of -C^-1 names: the packed kernel reads only the nonzero
         # entries, and C^-1 is the sparser (E - q * arrow counts when there
@@ -565,8 +663,8 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
         ("sink_reflection_cartan", sink_theorems + ("reversed_sinks",),
-         lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_rows(c.rows, w)
-                     for i, c, _ in flipped)),
+         lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_cells(t, w)
+                     for i, t, _ in flipped)),
         ("sink_reflection_coxeter", sink_theorems + ("reversed_sinks",),
          lambda: all(_two_sided(eye, phi_graph, i, graph_p[i]) ==
                      _word(eye, graph_p, *numbering)

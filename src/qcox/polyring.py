@@ -33,15 +33,16 @@ gives an inverse with int coefficients, which cost far less than
 built on it) is exact sparse Gauss-Jordan elimination on dict rows.
 
 A polynomial p over Z[q] packs to the integer p(2^w) (Kronecker
-substitution), and ``packed_combination`` is the row kernel on packed
-entries.  Evaluation at 2^w is a ring map, so packed sums and products
-need no bound, but comparing them does.  If every coefficient of a and b
-is at most B in absolute value and w = slot_width(B), then 2B < 2^(w-1),
-so a(2^w) == b(2^w) only when a == b (a nonzero polynomial packs to 0
-only with a coefficient of absolute value at least 2^w), and a's
-coefficients are the balanced base-2^w digits of a(2^w).  A packed value
-that merely looks small proves nothing: B must be proved from the inputs,
-as a product of ``norm`` values is.
+substitution), read from its coefficient list (``pack``), and
+``packed_combination`` is the row kernel on packed entries.  Evaluation
+at 2^w is a ring map, so packed sums and products need no bound, but
+comparing them does.  If every coefficient of a and b is at most B in
+absolute value and w = slot_width(B), then 2B < 2^(w-1), so a(2^w) ==
+b(2^w) only when a == b (a nonzero polynomial packs to 0 only with a
+coefficient of absolute value at least 2^w), and a's coefficients are the
+balanced base-2^w digits of a(2^w).  A packed value that merely looks
+small proves nothing: B must be proved from the inputs, as a product of
+``norm`` values is.
 """
 
 from __future__ import annotations
@@ -221,6 +222,7 @@ class Polynomial:
 
 
 _COEFFS = attrgetter("coeffs")
+_new = object.__new__
 _ZERO = Polynomial._make([])
 _ONE = Polynomial._make([1])
 
@@ -277,7 +279,18 @@ def row_combination(coeffs: Sequence[Polynomial],
                 for m, cb in enumerate(bc, i):
                     if cb:
                         cur[m] += ca * cb
-    return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
+    # an entry whose last coefficient is nonzero needs no trim (_make)
+    out = []
+    for cs in acc:
+        if cs is None:
+            out.append(_ZERO)
+        elif cs[-1]:
+            p = _new(Polynomial)
+            p.coeffs = tuple(cs)
+            out.append(p)
+        else:
+            out.append(Polynomial._make(cs))
+    return tuple(out)
 
 
 def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
@@ -295,13 +308,14 @@ def slot_width(bound: int) -> int:
     return bound.bit_length() + 2
 
 
-def pack(p: Polynomial, w: int) -> int:
-    """p(2^w), for p with integer coefficients (ints or Fractions)."""
-    cs = p.coeffs
+def pack(cs: Sequence, w: int) -> int:
+    """p(2^w) for the polynomial p with the ascending coefficients cs,
+    which are integers (ints or Fractions); a Polynomial's are its
+    ``coeffs``, and a graded-dimension cell is one as it stands."""
     v = 0
     for i in compress(count(), cs):
         if cs[i].denominator != 1:
-            raise ValueError(f"cannot pack {p}: a coefficient is not an integer")
+            raise ValueError(f"cannot pack {Polynomial(cs)}: a coefficient is not an integer")
         v += cs[i].numerator << (w * i)
     return v
 

@@ -15,7 +15,7 @@ A quiver file looks like::
 Grammar::
 
     quiver    ::= "quiver" NAME "{" "vertices:" namelist ";"
-                  "arrows:" arrowdecl+ ("relations:" reldecl+)? "}"
+                  "arrows:" arrowdecl* ("relations:" reldecl*)? "}"
     namelist  ::= NAME ("," NAME)*
     arrowdecl ::= NAME ":" NAME "->" NAME ";"
     reldecl   ::= term (("+"|"-") term)* ";"
@@ -378,6 +378,11 @@ class _Parser:
         self.expect(":")
         arrows = []
         while True:
+            # "}" or "relations" ends the arrows, which may be none, unless
+            # "relations: x ->" declares one; no relation contains "->"
+            t = tokens[self.pos]
+            if t == "}" or (t == "relations" and tokens[self.pos + 3:self.pos + 4] != ["->"]):
+                break
             aname = self.name("arrow name")
             self.expect(":")
             src = self.name("source vertex")
@@ -385,11 +390,7 @@ class _Parser:
             dst = self.name("target vertex")
             self.expect(";")
             arrows.append((aname, src, dst))
-            # "relations" ends the arrows unless "relations: x ->" declares
-            # one; no relation contains "->"
-            t = tokens[self.pos]
-            if t is None or t == "}" or (t == "relations"
-                                         and tokens[self.pos + 3:self.pos + 4] != ["->"]):
+            if tokens[self.pos] is None:
                 break
         relations = []
         if tokens[self.pos] == "relations":

@@ -427,6 +427,54 @@ def unpack(v: int, w: int) -> Polynomial:
     return Polynomial(cs)
 
 
+def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_000_000) -> int:
+    """The bound whose slot width ``verify_identities`` uses, with every
+    norm taken on Polynomial rows, as the verifier once did: the graph rows
+    and 2G (``coxeter._graph_row``, ``coxeter._gram2``), ``norm`` and
+    ``coxeter._gamma_norms`` on the PolyMatrix C and C^-1, and ``norm`` on
+    the C of each quiver with the arrows at a sink reversed.  It raises
+    what the verifier raises."""
+    from math import prod
+
+    from qcox.algebra import cartan_inverse, cartan_matrix
+    from qcox.coxeter import _gamma_norms, _graph_row, _gram2, sigma_reflect
+    from qcox.errors import DegreeCapExceeded, NotUnimodular
+    from qcox.polyring import norm
+    quiver = bq.quiver
+    counts = quiver.edge_counts()
+    acyclic = quiver.is_acyclic()
+    try:
+        cartan = cartan_matrix(bq, degree_cap, max_dim)
+        inverse = cartan_inverse(bq, cartan)
+    except (DegreeCapExceeded, NotUnimodular):
+        cartan = None
+    flipped = []
+    if acyclic and not bq.relations and cartan is not None:
+        try:
+            for sink in quiver.sinks():
+                flipped.append(cartan_matrix(BoundQuiver(sigma_reflect(quiver, sink)),
+                                             degree_cap, max_dim))
+        except DegreeCapExceeded:
+            pass    # the reversed quivers computed before still count
+    terms = [1]
+    if acyclic:
+        norms = [norm([_graph_row(quiver, counts, v)]) for v in range(quiver.n)]
+        m = max(norms)
+        c_max = max(map(max, counts))
+        terms += [m * m * prod(norms), m * (m + 1) + c_max * c_max + 1,
+                  norm(_gram2(counts)) * (m + 3)]
+    if cartan is not None:
+        gamma_norms = _gamma_norms(inverse.rows)
+        norm_c = norm(cartan.rows)
+        nu_c = max(norm_c, norm(zip(*cartan.rows)))
+        nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
+        phi = nu_c * nu_inverse
+        terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
+    for c in flipped:
+        terms += [m * (m + 1) * norm_c, norm(c.rows)]
+    return max(terms)
+
+
 # --- per-character tokenizer --------------------------------------------------
 
 _TOKEN_AT = re.compile(r"->|[{}:;,*+\-]|[A-Za-z0-9_]+(?:/[0-9]+)?")
@@ -510,6 +558,14 @@ class _ReferenceParser:
         self.expect(":")
         arrows = []
         while True:
+            # zero or more declarations; a first token of None is an error
+            # only once it is read as an arrow name
+            nxt = self.peek()
+            if nxt == "}":
+                break
+            if nxt == "relations" and (self.pos + 3 >= len(self.tokens)
+                                       or self.tokens[self.pos + 3][0] != "->"):
+                break
             aname = self.name("arrow name")
             self.expect(":")
             src = self.name("source vertex")
@@ -517,11 +573,7 @@ class _ReferenceParser:
             dst = self.name("target vertex")
             self.expect(";")
             arrows.append((aname, src, dst))
-            nxt = self.peek()
-            if nxt in ("}", None):
-                break
-            if nxt == "relations" and (self.pos + 3 >= len(self.tokens)
-                                       or self.tokens[self.pos + 3][0] != "->"):
+            if self.peek() is None:
                 break
         relations = []
         if self.peek() == "relations":

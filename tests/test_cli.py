@@ -594,3 +594,19 @@ def test_module_entry_point_smoke(qv, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1, 3, 2"
+
+
+def test_json_matrix_writes_each_distinct_entry_once(monkeypatch):
+    # A30's Coxeter matrix has 900 entries, of which 61 are distinct
+    import qcox.cli as cli_module
+    from qcox.coxeter import coxeter_matrix_bound
+    from qcox.quiverdsl import BoundQuiver
+    from test_cli_golden import golden_quivers
+    phi = coxeter_matrix_bound(BoundQuiver(golden_quivers()["A30"]))
+    calls = []
+    original = cli_module._entry_json
+    monkeypatch.setattr(cli_module, "_entry_json", lambda cs: calls.append(cs) or original(cs))
+    text = render_matrix(phi, "json", None)
+    assert text == json.dumps(matrix_json_obj(phi), indent=2)
+    assert len({e.coeffs for row in phi.rows for e in row}) == 61
+    assert 0 < len(calls) <= 61

@@ -678,7 +678,7 @@ def test_row_local_checks_match_full_matrix_identities(case, i, step):
     assert _commutation_holds(packed, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
     left = naive_matmul(naive_matmul(si, sj), si) - naive_matmul(naive_matmul(sj, si), sj)
-    assert _braid_holds(packed, i, j, pack(factor, W)) == (left == scaled(si - sj, factor))
+    assert _braid_holds(packed, i, j, pack(factor.coeffs, W)) == (left == scaled(si - sj, factor))
     multigraph = Quiver(tuple(str(v) for v in range(n)),
                         tuple(Arrow(f"e{a}_{b}_{k}", a, b) for a in range(n)
                               for b in range(a + 1, n) for k in range(counts[a][b])))
@@ -825,28 +825,34 @@ def test_verifier_does_no_polynomial_arithmetic_without_relations(monkeypatch):
         assert not calls, (bq.quiver.n, calls)
 
 
-@pytest.mark.parametrize("row_maker, identity", [("_graph_row", "reflection_involution"),
-                                                 ("_gamma_row", "gamma_involution")])
+# the ids keep naming the kind of row, graph or Cartan, that is corrupted
+@pytest.mark.parametrize("row_maker, identity", [("_packed_graph_rows", "reflection_involution"),
+                                                 ("_gamma_row", "gamma_involution")],
+                         ids=["_graph_row-reflection_involution", "_gamma_row-gamma_involution"])
 def test_verify_identities_fails_on_a_corrupted_reflection_row(monkeypatch, row_maker,
                                                                identity):
     import qcox.coxeter as coxeter_module
     original = getattr(coxeter_module, row_maker)
 
     def corrupted(*args):
-        row = original(*args)
-        if args[-1] == 1:
-            # the graph rows are Polynomials, and the verifier's Cartan rows
-            # packed ints: the diagonal entry gains q or 1
-            row = list(row)
-            row[1] = row[1] + (P(0, 1) if row_maker == "_graph_row" else 1)
-            assert isinstance(row[1], Polynomial if row_maker == "_graph_row" else int)
-        return row
+        rows = original(*args)
+        # the graph rows come packed from the edge counts, all at once, and
+        # the verifier's Cartan rows packed, one at a time: the diagonal
+        # entry of row 1 gains q (2^w, for the width w last in args) or 1
+        if row_maker == "_packed_graph_rows":
+            rows[1][1] += 1 << args[-1]
+            assert isinstance(rows[1][1], int)
+        elif args[-1] == 1:
+            rows = list(rows)
+            rows[1] = rows[1] + 1
+            assert isinstance(rows[1], int)
+        return rows
 
     monkeypatch.setattr(coxeter_module, row_maker, corrupted)
     report = verify_identities(BoundQuiver(A3))
     assert not report.passed
     assert idx(report)[identity] == ("fail", "")
-    if row_maker == "_graph_row":
+    if row_maker == "_packed_graph_rows":
         # the graph reflection rows also enter the form invariance check
         assert idx(report)["form_invariance"] == ("fail", "")
 
@@ -861,16 +867,24 @@ def _corrupt_first_row(inverse: PolyMatrix) -> PolyMatrix:
     return _with_q_added(inverse, 0, 1)
 
 
-def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
-    # A3 has no relations: C^-1 is the closed form E - qB of cartan_inverse
+def _packed_inverse_with_q_added(monkeypatch, i: int, j: int) -> None:
+    # the verifier packs C^-1 = E - qB of a relation-free quiver from its
+    # entries at width w, where adding 2^w to entry (i, j) adds q to it
     import qcox.coxeter as coxeter_module
-    original = coxeter_module.cartan_inverse
+    original = coxeter_module._packed_inverse
 
-    def corrupted(bq, cartan):
-        return _corrupt_first_row(original(bq, cartan))
+    def corrupted(entries, w):
+        rows = original(entries, w)
+        rows[i][j] += 1 << w
+        return rows
 
+    monkeypatch.setattr(coxeter_module, "_packed_inverse", corrupted)
+
+
+def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
+    # A3 has no relations: C^-1 is the closed form E - qB of algebra.inverse_entries
     assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("pass", "")
-    monkeypatch.setattr(coxeter_module, "cartan_inverse", corrupted)
+    _packed_inverse_with_q_added(monkeypatch, 0, 1)
     report = idx(verify_identities(BoundQuiver(A3)))
     assert report["projective_injective_duality"] == (
         "fail", "projective vector differs from -Phi * injective vector")
@@ -940,8 +954,119 @@ def test_euler_form_invariant_matches_matrix_products():
 
 @pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(3)])
 def test_euler_form_check_fails_on_any_corrupted_inverse_entry(monkeypatch, i, j):
-    import qcox.coxeter as coxeter_module
-    original = coxeter_module.cartan_inverse
-    monkeypatch.setattr(coxeter_module, "cartan_inverse",
-                        lambda bq, cartan: _with_q_added(original(bq, cartan), i, j))
+    _packed_inverse_with_q_added(monkeypatch, i, j)
     assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("fail", "")
+
+
+# --- shared data from counts and cells --------------------------------------------
+
+def _count_and_cell_inputs() -> list[BoundQuiver]:
+    """Random bound and cyclic quivers; relation-free acyclic quivers with up
+    to 3 parallel arrows, parallel chains and the golden quivers, and some
+    of them with the arrows at a sink reversed."""
+    from test_cli_golden import golden_quivers
+    rng = random.Random(41)
+    quivers = [random_bound_quiver(rng) for _ in range(60)]
+    quivers += [random_cyclic_bound_quiver(rng) for _ in range(30)]
+    free = [random_acyclic_quiver(rng, 2, 9, max_multiplicity=3) for _ in range(60)]
+    free += [_parallel_chain(c).quiver for c in ((1,), (3,), (1, 2, 3), (2, 1, 3, 1), [1] * 12)]
+    free += list(golden_quivers().values())
+    free += [sigma_reflect(q, sink) for q in free[:30] for sink in q.sinks()]
+    return quivers + [BoundQuiver(q) for q in free]
+
+
+def test_verifier_slot_bound_matches_the_polynomial_rows(monkeypatch):
+    # the norms read off counts and cells are those of the Polynomial rows
+    import qcox.coxeter as coxeter_module
+    from oracles import verifier_slot_bound
+    bounds = []
+    monkeypatch.setattr(coxeter_module, "slot_width", lambda b: bounds.append(b) or slot_width(b))
+    for bq in _count_and_cell_inputs():
+        verify_identities(bq)
+        assert bounds == [verifier_slot_bound(bq)]
+        bounds.clear()
+
+
+@pytest.mark.parametrize("w", [3, 44])
+def test_packed_rows_from_counts_and_cells_are_the_packed_polynomial_rows(w):
+    # C from its cells, C^-1 = E - qB from its entries, and the graph rows
+    # and 2G from the edge counts
+    from qcox.algebra import graded_dims, inverse_entries
+    from qcox.coxeter import (_graph_row, _pack_cells, _packed_graph_rows, _packed_gram2,
+                              _packed_inverse)
+    from qcox.errors import QcoxError
+    seen = Counter()
+    for bq in _count_and_cell_inputs():
+        quiver = bq.quiver
+        try:
+            table = graded_dims(bq)
+        except QcoxError:
+            table = None
+        if table is not None:
+            assert _pack_cells(table, w) == _pack_rows(cartan_matrix(bq).rows, w)
+            seen["cells"] += 1
+            if not bq.relations:
+                assert _packed_inverse(inverse_entries(quiver.arrow_counts()), w) == \
+                    _pack_rows(cartan_inverse(bq).rows, w)
+                seen["inverse"] += 1
+        if quiver.is_acyclic():
+            counts = quiver.edge_counts()
+            rows = [_graph_row(quiver, counts, v) for v in range(quiver.n)]
+            assert _packed_graph_rows(counts, w) == _pack_rows(rows, w)
+            assert _packed_gram2(counts, w) == _pack_rows(_gram2(counts), w)
+            seen["counts"] += 1
+    assert min(seen.values()) >= 100
+
+
+def _counting(monkeypatch, calls, *targets):
+    # wrap module attributes so that each call is counted by name
+    for module, name in targets:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _k=name, **kwargs:
+                            calls.update([_k]) or _f(*args, **kwargs))
+
+
+def test_relation_free_verifier_builds_no_polynomial_matrix(monkeypatch):
+    # C, C^-1, the graph rows and 2G come from counts and cells; the graded
+    # dimensions, of the input and of each quiver with the arrows at a sink
+    # reversed, are called as algebra.graded_dims, where a tracer sees them
+    import qcox.algebra as algebra_module
+    import qcox.coxeter as coxeter_module
+    calls = Counter()
+    _counting(monkeypatch, calls, (algebra_module, "cartan_matrix"),
+              (algebra_module, "cartan_inverse"), (algebra_module, "graded_dims"),
+              (coxeter_module, "_graph_row"), (coxeter_module, "_gram2"))
+    rng = random.Random(43)
+    quivers = [_parallel_chain([1] * 24), _parallel_chain([2, 1, 3])]
+    quivers += [BoundQuiver(random_acyclic_quiver(rng, 2, 9, max_multiplicity=3))
+                for _ in range(30)]
+    for bq in quivers:
+        assert verify_identities(bq).passed
+        assert calls == Counter({"graded_dims": 1 + len(bq.quiver.sinks())})
+        calls.clear()
+    # with relations C is built once, from the same table
+    assert verify_identities(DOUBLE_CHAIN).passed
+    assert calls == Counter({"graded_dims": 1})
+
+
+def test_relation_free_reflection_product_forms_no_symmetric_form(monkeypatch):
+    # the Cartan reflection rows of A = 2E - q(B + B^T) are the graph rows
+    import qcox.coxeter as coxeter_module
+    rng = random.Random(47)
+    quivers = [_parallel_chain([1] * 10), _parallel_chain([3, 1, 2])]
+    quivers += [BoundQuiver(random_acyclic_quiver(rng, 2, 9, max_multiplicity=3))
+                for _ in range(20)]
+    expected = []
+    for bq in quivers:
+        c = cartan_matrix(bq)
+        form = symmetric_form_matrix(c)
+        product = PolyMatrix.identity(c.n)
+        for v in admissible_numbering(bq.quiver):
+            product = naive_matmul(product, gamma_reflection(c, v, form))
+        expected.append(product)
+    calls = Counter()
+    _counting(monkeypatch, calls, (coxeter_module, "symmetric_form_matrix"),
+              (coxeter_module, "_gamma_row"))
+    for bq, product in zip(quivers, expected):
+        assert coxeter_matrix_bound(bq, "reflections") == product
+    assert not calls

@@ -417,57 +417,6 @@ def test_round_trip_random_quivers():
         assert parse_json(emit_json(bq)) == bq
 
 
-# names that the grammar also uses as keywords, numeric names, and plain ones
-_NAME_POOL = (("quiver", "vertices", "arrows", "relations", "Q", "0", "1", "2", "1x", "b_c")
-              + tuple(f"n{k}" for k in range(50)))
-
-
-@st.composite
-def _renamed_bound_quivers(draw):
-    """A ``random_bound_quiver`` whose quiver, vertex and arrow names are
-    drawn from _NAME_POOL."""
-    from qcox.randquiver import random_bound_quiver
-    bq = random_bound_quiver(random.Random(draw(st.integers(0, 2 ** 32))))
-    q = bq.quiver
-    vertices = draw(st.permutations(_NAME_POOL))[:q.n]
-    arrows = draw(st.permutations(_NAME_POOL))[:len(q.arrows)]
-    quiver = Quiver(tuple(vertices), tuple(Arrow(name, a.source, a.target)
-                                           for name, a in zip(arrows, q.arrows)))
-    return BoundQuiver(quiver, bq.relations, name=draw(st.sampled_from(_NAME_POOL)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_renamed_bound_quivers(), st.integers(0, 6))
-# an arrow named "relations" that is not the first arrow
-@example(BoundQuiver(Quiver(("1", "2"), (Arrow("a", 0, 1), Arrow("relations", 0, 1)))), 0)
-def test_what_qcox_writes_it_reads_back(bq, pick):
-    import contextlib
-    import io
-    import os
-    import tempfile
-    from qcox.cli import main
-    from qcox.coxeter import sigma_reflect
-    for parse, emit in ((parse_quiver, emit_text), (parse_json, emit_json)):
-        back = parse(emit(bq))
-        assert (back, back.name) == (bq, bq.name)
-    # reflect writes a relation-free quiver; read it in one format, write the other
-    free = BoundQuiver(bq.quiver, name=bq.name)
-    vertex = pick % bq.quiver.n
-    expected = BoundQuiver(sigma_reflect(bq.quiver, vertex))
-    with tempfile.TemporaryDirectory() as tmp:
-        for suffix, emit, fmt, parse in ((".json", emit_json, "plain", parse_quiver),
-                                         (".qv", emit_text, "json", parse_json)):
-            path = os.path.join(tmp, "in" + suffix)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(emit(free))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["reflect", path, "--vertex", bq.quiver.vertices[vertex],
-                             f"--format={fmt}"]) == 0
-            back = parse(out.getvalue())
-            assert (back, back.name) == (expected, bq.name)
-
-
 def test_relations_keyword_with_no_declarations():
     bq = parse_quiver("""
     quiver empty_block {
@@ -578,6 +527,103 @@ def _with_comment_examples(test):
 @example("quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a*a - 2*; }")
 def test_parse_quiver_matches_reference_parser(text):
     assert _parse_outcome(parse_quiver, text) == _parse_outcome(parse_quiver_reference, text)
+
+
+# names that the grammar also uses as keywords, numeric names, and plain ones
+_NAME_POOL = (("quiver", "vertices", "arrows", "relations", "Q", "0", "1", "2", "1x", "b_c")
+              + tuple(f"n{k}" for k in range(50)))
+
+# one vertex and no arrows: both formats accept it
+_ONE_VERTEX = BoundQuiver(Quiver(("v",), ()), name="one")
+
+
+@st.composite
+def _renamed_bound_quivers(draw, generator):
+    """A quiver of ``generator``, seeded, whose quiver, vertex and arrow
+    names are drawn from _NAME_POOL."""
+    bq = generator(random.Random(draw(st.integers(0, 2 ** 32))))
+    q = bq.quiver
+    vertices = draw(st.permutations(_NAME_POOL))[:q.n]
+    arrows = draw(st.permutations(_NAME_POOL))[:len(q.arrows)]
+    quiver = Quiver(tuple(vertices), tuple(Arrow(name, a.source, a.target)
+                                           for name, a in zip(arrows, q.arrows)))
+    return BoundQuiver(quiver, bq.relations, name=draw(st.sampled_from(_NAME_POOL)))
+
+
+def _parsed(text):
+    """The bound quiver the text parses to, or None."""
+    try:
+        return parse_quiver(text)
+    except (QcoxError, ValueError):
+        return None
+
+
+def _written_inputs():
+    """Inputs that parse_quiver or parse_json accept: random bound quivers
+    and cyclic ones, with loops, named from _NAME_POOL; the fuzz texts
+    and the edited random quiver texts that parse; and the one-vertex
+    quiver without arrows."""
+    from qcox.randquiver import random_bound_quiver
+    texts = st.one_of(_fuzz_text, st.builds(
+        _random_quiver_text, st.integers(0, 2 ** 32),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(0, 3), st.sampled_from(_TOKENS)),
+                 max_size=2)))
+    return st.one_of(_renamed_bound_quivers(random_bound_quiver),
+                     _renamed_bound_quivers(random_cyclic_bound_quiver),
+                     texts.map(_parsed).filter(lambda bq: bq is not None),
+                     st.just(_ONE_VERTEX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_inputs(), st.integers(0, 6))
+# an arrow named "relations" that is not the first arrow
+@example(BoundQuiver(Quiver(("1", "2"), (Arrow("a", 0, 1), Arrow("relations", 0, 1)))), 0)
+@example(_ONE_VERTEX, 0)
+def test_what_qcox_writes_it_reads_back(bq, pick):
+    import contextlib
+    import io
+    import os
+    import tempfile
+    from qcox.cli import main
+    from qcox.coxeter import sigma_reflect
+    for parse, emit in ((parse_quiver, emit_text), (parse_json, emit_json)):
+        back = parse(emit(bq))
+        assert (back, back.name) == (bq, bq.name)
+    # reflect writes a relation-free quiver; read it in one format, write the other
+    free = BoundQuiver(bq.quiver, name=bq.name)
+    vertex = pick % bq.quiver.n
+    expected = BoundQuiver(sigma_reflect(bq.quiver, vertex))
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, emit, fmt, parse in ((".json", emit_json, "plain", parse_quiver),
+                                         (".qv", emit_text, "json", parse_json)):
+            path = os.path.join(tmp, "in" + suffix)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(emit(free))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["reflect", path, "--vertex", bq.quiver.vertices[vertex],
+                             f"--format={fmt}"]) == 0
+            back = parse(out.getvalue())
+            assert (back, back.name) == (expected, bq.name)
+
+
+def test_one_vertex_quiver_without_arrows_reads_back(tmp_path, capsys):
+    # the text form writes "arrows:" with no declaration after it
+    from qcox.cli import main
+    text = emit_text(_ONE_VERTEX)
+    assert text == "quiver one {\n  vertices: v;\n  arrows:\n}\n"
+    for emit, parse in ((emit_text, parse_quiver), (emit_json, parse_json)):
+        back = parse(emit(_ONE_VERTEX))
+        assert (back, back.name) == (_ONE_VERTEX, "one")
+    source = tmp_path / "one.json"
+    source.write_text(emit_json(_ONE_VERTEX), encoding="utf-8")
+    assert main(["reflect", str(source), "--vertex", "v"]) == 0
+    written = tmp_path / "one.qv"
+    written.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["cartan", str(written)]) == 0
+    assert capsys.readouterr() == ("[ 1 ]\n", "")
+    back = load_file(str(written))
+    assert (back, back.name) == (_ONE_VERTEX, "one")
 
 
 def test_valid_input_reads_no_token_positions(monkeypatch):
