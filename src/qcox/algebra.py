@@ -100,11 +100,8 @@ class GradedDimTable:
         """The Cartan matrix whose entry (i, j) has the coefficients of cell
         (i, j)."""
         rows = [[ZERO] * self.n for _ in range(self.n)]
-        new = object.__new__
         for (i, j), cs in self.cells.items():
-            # a cell's last coefficient is nonzero: no trim (Polynomial._make)
-            p = rows[i][j] = new(Polynomial)
-            p.coeffs = tuple(cs)
+            rows[i][j] = Polynomial._make(cs)
         return PolyMatrix._make(rows)
 
 

@@ -228,14 +228,10 @@ def _packed_inverse(entries: list[list[tuple[int, int, int]]], w: int) -> list[l
 def _graph_row(quiver: Quiver, counts: list[list[int]], i: int) -> tuple[Polynomial, ...]:
     # row i of the graph reflection at i, from counts = quiver.edge_counts(),
     # whose diagonal counts each loop twice
-    counts_i = counts[i]
-    if counts_i[i]:
+    if counts[i][i]:
         raise LoopAtVertex(quiver.vertices[i])
-    row = [ZERO] * len(counts_i)
-    for j in compress(count(), counts_i):
-        row[j] = Polynomial._make([0, counts_i[j]])
-    row[i] = MINUS_ONE
-    return tuple(row)
+    return tuple(MINUS_ONE if j == i else Polynomial._make([0, c]) if c else ZERO
+                 for j, c in enumerate(counts[i]))
 
 
 def graph_reflection(quiver: Quiver, i: int) -> PolyMatrix:
@@ -251,10 +247,6 @@ def coxeter_matrix_graph(quiver: Quiver, numbering: tuple[int, ...] | None = Non
     sink leftmost.  Independent of which admissible numbering is chosen."""
     if numbering is None:
         numbering = admissible_numbering(quiver)
-    return _graph_product(quiver, numbering)
-
-
-def _graph_product(quiver: Quiver, numbering: tuple[int, ...]) -> PolyMatrix:
     counts = quiver.edge_counts()
     return PolyMatrix._make(_reflection_product(
         numbering, lambda v: _graph_row(quiver, counts, v), PolyMatrix.identity(quiver.n).rows))
@@ -387,7 +379,7 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
         # cyclic quiver never gets past them
         if cartan is None:
             algebra.check_path_limits(bq.quiver, degree_cap, max_dim)
-        return _graph_product(bq.quiver, admissible_numbering(bq.quiver))
+        return coxeter_matrix_graph(bq.quiver)
     # with relations the numbering (NotAcyclic) comes before C^-1 (NotUnimodular)
     numbering = admissible_numbering(bq.quiver)
     form = symmetric_form_matrix(cartan, algebra.cartan_inverse(bq, cartan))
@@ -557,9 +549,9 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     # graded dimensions of the bound quiver, whose cells are C, and with
     # relations C^-1 by elimination, shared by everything below
     try:
-        table = algebra.graded_dims(bq, degree_cap, max_dim)
+        dims = algebra.graded_dims(bq, degree_cap, max_dim)
         if bq.relations:
-            inverse = table.cartan().inverse_unimodular()
+            inverse = dims.cartan().inverse_unimodular()
         why["inverse"] = ""
     except DegreeCapExceeded as exc:
         why["inverse"] = f"graded dimensions did not terminate ({exc})"
@@ -596,7 +588,7 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         # s Phi s, the braid sums and the 2G combinations
         terms += [m * m * p, m * (m + 1) + c_max * c_max + 1, (m + 1) * (m + 3)]
     if not why["inverse"]:
-        norm_c, norm_ct = _cell_norms(table)
+        norm_c, norm_ct = _cell_norms(dims)
         nu_c = max(norm_c, norm_ct)
         if bq.relations:
             gamma_norms = _gamma_norms(inverse.rows)
@@ -610,8 +602,8 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         phi = nu_c * nu_inverse
         # the Cartan words, the entries of A, and the products with Phi
         terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
-    for _, flipped_table, _ in flipped:
-        terms += [m * (m + 1) * norm_c, _cell_norms(flipped_table)[0]]
+    for _, flipped_dims, _ in flipped:
+        terms += [m * (m + 1) * norm_c, _cell_norms(flipped_dims)[0]]
     w = slot_width(max(terms))
     eye = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -623,7 +615,7 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         phi_graph = _word(eye, graph_p, *first)
     involutive = commuting = ()
     if not why["inverse"]:
-        cartan_p = _pack_cells(table, w)
+        cartan_p = _pack_cells(dims, w)
         if bq.relations:
             inverse_p = _pack_rows(inverse.rows, w)
         else:

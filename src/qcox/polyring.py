@@ -222,7 +222,6 @@ class Polynomial:
 
 
 _COEFFS = attrgetter("coeffs")
-_new = object.__new__
 _ZERO = Polynomial._make([])
 _ONE = Polynomial._make([1])
 
@@ -279,18 +278,7 @@ def row_combination(coeffs: Sequence[Polynomial],
                 for m, cb in enumerate(bc, i):
                     if cb:
                         cur[m] += ca * cb
-    # an entry whose last coefficient is nonzero needs no trim (_make)
-    out = []
-    for cs in acc:
-        if cs is None:
-            out.append(_ZERO)
-        elif cs[-1]:
-            p = _new(Polynomial)
-            p.coeffs = tuple(cs)
-            out.append(p)
-        else:
-            out.append(Polynomial._make(cs))
-    return tuple(out)
+    return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
 
 
 def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
