@@ -24,14 +24,12 @@ number of paths of length d from i to j, counted one arrow at a time on
 the nonzero (source, target) cells: a degree costs those cells times their
 out-degree, not its number of paths.  Then C = sum_d (qB)^d for the arrow
 counts B, and graded dimensions that terminate make B nilpotent, so
-C^-1 = E - qB exactly, with no elimination: ``inverse_entries`` lists its
-nonzero entries, and ``cartan_inverse`` and the ``coxeter`` module read
-them.  Whether they terminate is decided by the path totals 1^T B^d 1
-alone (``_path_totals``): the path count engine runs that check first, and
-``check_path_limits`` runs nothing else.  On an acyclic quiver one pass in
-sink order counts all paths and the longest one; when they fit both
-limits, no limit can fire and the totals are skipped.  No dimension is
-counted by listing paths.
+C^-1 = E - qB exactly, with no elimination.  Whether they terminate is
+decided by the path totals 1^T B^d 1 alone (``_path_totals``): the path
+count engine runs that check first, and ``check_path_limits`` runs
+nothing else.  On an acyclic quiver one pass in sink order counts all
+paths and the longest one; when they fit both limits, no limit can fire
+and the totals are skipped.  No dimension is counted by listing paths.
 
 When every relation is a single path, the ideal is spanned by the paths
 containing a relation, so the relations are already a Groebner basis and
@@ -51,8 +49,10 @@ All three engines append each degree's nonzero counts to one coefficient
 list per nonzero (source, target) cell, padding a cell that skipped
 degrees with zeros.  Those lists are the coefficients of the Cartan
 entries: ``GradedDimTable.cartan`` (and ``cartan_matrix``) wraps them into
-rows as they are, the verifier packs them without a Polynomial, and
-``GradedDimTable.dims`` lists their nonzero entries by (i, j, degree).
+rows as they are (``cell_matrix``), the verifier packs them without a
+Polynomial, and ``GradedDimTable.dims`` lists their nonzero entries by
+(i, j, degree).  ``inverse_cells`` gives C^-1 as the same kind of cells,
+and every reader of C^-1 takes it in that form.
 
 Degrees are processed in ascending order and stop at the first degree
 d >= 1 without normal words: the next degree has no candidates, so every
@@ -99,10 +99,16 @@ class GradedDimTable:
     def cartan(self) -> PolyMatrix:
         """The Cartan matrix whose entry (i, j) has the coefficients of cell
         (i, j)."""
-        rows = [[ZERO] * self.n for _ in range(self.n)]
-        for (i, j), cs in self.cells.items():
-            rows[i][j] = Polynomial._make(cs)
-        return PolyMatrix._make(rows)
+        return cell_matrix(self.n, self.cells)
+
+
+def cell_matrix(n: int, cells: Mapping[tuple[int, int], list]) -> PolyMatrix:
+    """The n x n matrix whose entry (i, j) has the coefficients of cell
+    (i, j), without trailing zeros, and is 0 outside the cells."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), cs in cells.items():
+        rows[i][j] = Polynomial._make(cs)
+    return PolyMatrix._make(rows)
 
 
 def _out_arrows(quiver: Quiver) -> list[list[int]]:
@@ -397,38 +403,42 @@ def check_path_limits(quiver: Quiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     _vanishing_degree(quiver, _path_steps(quiver.arrow_counts()), degree_cap, max_dim)
 
 
-def inverse_entries(arrow_counts: list[list[int]]) -> list[list[tuple[int, int, int]]]:
-    """The nonzero entries of E - qB for the arrow counts B, which is C^-1
-    without relations (see the module docstring): per row i, (j, c0, c1)
-    for the entry c0 + c1 q."""
-    rows = []
-    for i, row in enumerate(arrow_counts):
-        entries = [(j, 0, -row[j]) for j in compress(count(), row) if j != i]
-        entries.append((i, 1, -row[i]))
-        rows.append(entries)
-    return rows
+def inverse_cells(bq: BoundQuiver, cartan: PolyMatrix | None = None
+                  ) -> dict[tuple[int, int], list]:
+    """C^-1 for bq's own Cartan matrix C as its nonzero cells (i, j) ->
+    coefficients, as ``GradedDimTable.cells`` gives C: E - qB for the arrow
+    counts B without relations (see the module docstring), else the nonzero
+    entries of ``cartan.inverse_unimodular()``, which raises NotUnimodular.
+    Only then is C read, and computed under the default limits when not
+    given."""
+    if bq.relations:
+        if cartan is None:
+            cartan = cartan_matrix(bq)
+        return {(i, j): list(e.coeffs) for i, row in enumerate(cartan.inverse_unimodular().rows)
+                for j, e in enumerate(row) if e}
+    cells = {}
+    for i, row in enumerate(bq.quiver.arrow_counts()):
+        for j in compress(count(), row):
+            cells[i, j] = [0, -row[j]]
+        cells[i, i] = [1, -row[i]] if row[i] else [1]
+    return cells
 
 
 def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
                    degree_cap: int = DEFAULT_DEGREE_CAP,
                    max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
-    """C^-1 for bq's own Cartan matrix C: E - q*B for the arrow counts B
-    without relations (``inverse_entries``), else
-    ``cartan.inverse_unimodular()``, which raises NotUnimodular.  Without a
-    given C, what ``cartan_matrix`` raises under the limits is raised too:
-    by ``check_path_limits`` alone when there are no relations."""
+    """C^-1 for bq's own Cartan matrix C: ``cartan.inverse_unimodular()``
+    with relations, which raises NotUnimodular, else the matrix of
+    ``inverse_cells``.  Without a given C, what ``cartan_matrix`` raises
+    under the limits is raised too: by ``check_path_limits`` alone when
+    there are no relations."""
     if bq.relations:
         if cartan is None:
             cartan = cartan_matrix(bq, degree_cap, max_dim)
         return cartan.inverse_unimodular()
     if cartan is None:
         check_path_limits(bq.quiver, degree_cap, max_dim)
-    n = bq.quiver.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for row, entries in zip(rows, inverse_entries(bq.quiver.arrow_counts())):
-        for j, c0, c1 in entries:
-            row[j] = Polynomial._make([c0, c1])
-    return PolyMatrix._make(rows)
+    return cell_matrix(bq.quiver.n, inverse_cells(bq))
 
 
 KINDS = ("simple", "projective", "injective")

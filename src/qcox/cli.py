@@ -15,6 +15,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
@@ -71,28 +72,30 @@ def _grid_plain(cells: list[list[str]]) -> str:
 
 
 def render_matrix(m: PolyMatrix, fmt: str, at_q: Fraction | None) -> str:
-    if at_q is not None:
-        values = m.specialize(at_q)
-        if fmt == "json":
-            return _dumps({"n": m.n, "at_q": format_rational(at_q),
-                           "entries": [[format_rational(v) for v in row] for row in values]})
-        cells = [[_rational_latex(v) if fmt == "latex" else format_rational(v)
-                  for v in row] for row in values]
-    else:
-        if fmt == "json":
-            # json_text({"n": ..., "entries": ...}) written straight from the
-            # coefficients: str of an int or a Fraction needs no escaping.
-            # Each distinct entry is written once
-            coeffs = [list(map(_COEFFS, row)) for row in m.rows]
-            written = dict.fromkeys(chain.from_iterable(coeffs))
-            for cs in written:
-                written[cs] = _entry_json(cs)
-            rows = (",\n      ".join(map(written.__getitem__, row)) for row in coeffs)
-            return ('{\n  "n": ' + str(m.n) + ',\n  "entries": [\n    [\n      '
-                    + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}")
-        cells = [[poly_latex(e) if fmt == "latex" else str(e) for e in row]
-                 for row in m.rows]
+    # each distinct entry, keyed by its coefficients, is written once
+    coeffs = [list(map(_COEFFS, row)) for row in m.rows]
+    written = dict.fromkeys(chain.from_iterable(coeffs))
+    straight = fmt == "json" and at_q is None
+    write = _entry_json if straight else partial(_entry_text, fmt, at_q)
+    for cs in written:
+        written[cs] = write(cs)
+    if straight:
+        # json_text({"n": ..., "entries": ...}) written straight from the
+        # coefficients: str of an int or a Fraction needs no escaping
+        rows = (",\n      ".join(map(written.__getitem__, row)) for row in coeffs)
+        return ('{\n  "n": ' + str(m.n) + ',\n  "entries": [\n    [\n      '
+                + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}")
+    cells = [list(map(written.__getitem__, row)) for row in coeffs]
+    if fmt == "json":
+        return _dumps({"n": m.n, "at_q": format_rational(at_q), "entries": cells})
     return _matrix_latex(cells) if fmt == "latex" else _grid_plain(cells)
+
+
+def _entry_text(fmt: str, at_q: Fraction | None, cs: tuple) -> str:
+    # an entry, given by its coefficients, as render_poly writes it, or as
+    # its JSON value at q = at_q
+    p = Polynomial._make(list(cs))
+    return _poly_json(p, at_q) if fmt == "json" else render_poly(p, fmt, at_q)
 
 
 _COEFF_SEP = '",\n        "'

@@ -28,12 +28,12 @@ terminate and C is unimodular), reversed_sinks (they terminate with the
 arrows at each sink reversed), two_numberings, involutive (some diagonal
 entry of A is 2) or commuting (some off-diagonal entry of A vanishes).  A
 check whose hypotheses fail is skipped with the reason of the first
-failing one; otherwise it passes or fails.  C^-1 is E - q * arrow counts
-without relations (``algebra.inverse_entries``) and the elimination
-inverse with them, and projective_injective_duality certifies it: for the
-X used, Phi = -C^T X, and -Phi C = C^T holds exactly when X C = E, as C^T
-is invertible.  It is checked as C^T (X C) == C^T, with X C formed first,
-so both products read only the nonzero entries of X and of X C.
+failing one; otherwise it passes or fails.  C^-1 comes as its cells
+from ``algebra.inverse_cells``, and projective_injective_duality
+certifies it: for the X used, Phi = -C^T X, and -Phi C = C^T holds
+exactly when X C = E, as C^T is invertible.  It is checked as
+C^T (X C) == C^T, with X C formed first, so both products read only the
+nonzero entries of X and of X C.
 
 Identities between reflections at one or two vertices are decided from
 their rows alone.  The reflection at v is s_v = E + e_v u_v^T, with u_v its
@@ -51,16 +51,14 @@ The predicates read packed rows (below), built once per call straight from
 counts and cells, never from a Polynomial matrix that holds the same
 numbers: the graph rows, -1 at v and c_vj 2^w elsewhere for the edge
 counts c (``_packed_graph_rows``), and 2G = 2E - q * c, 2 and -c_ij 2^w
-(``_packed_gram2``; ``gram_matrix`` is G); C, one ``pack`` per nonzero
-cell of ``algebra.graded_dims`` (``_pack_cells``), and so each reversed
-sink's C; X = C^-1, 1 on the diagonal and -b_ij 2^w off it without
-relations (``_packed_inverse``) and the packed elimination inverse with
-them; and the Cartan rows, which ``_gamma_row`` reads off A = X + X^T
-formed on the packed X, as ``gamma_reflection`` reads them off the
-Polynomial A.  So without relations the verifier builds no Polynomial, and
-with them only C and its inverse.  The numbering words, and the sink
-checks s C s^T and s Phi s, are built on the shared rows of the identity
-matrix, so only the rows the reflections change are computed and compared.
+(``_packed_gram2``; ``gram_matrix`` is G); C, each reversed sink's C and
+X = C^-1, one ``pack`` per nonzero cell of ``algebra.graded_dims`` and
+``algebra.inverse_cells`` (``_pack_cells``); and the Cartan rows, which
+``_gamma_row`` reads off A = X + X^T formed on the packed X, as
+``gamma_reflection`` reads them off the Polynomial A.  The numbering
+words, and the sink checks s C s^T and s Phi s, are built on the shared
+rows of the identity matrix, so only the rows the reflections change are
+computed and compared.
 
 Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det
 C = 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``)
@@ -80,13 +78,10 @@ combination 2 (2G)_v + (2G)_vv u_v at most g (m + 3) for g = norm(2G), as
 u_v is at most m + 1.  The product of the Cartan rows' norms bounds the
 Cartan words, and their largest plus 1 bounds the entries of A.  Every
 norm is read off counts and cells, as the Polynomial rows would give it:
-graph row v has norm 1 + sum_j c_vj, so g = m + 1; C's coefficients are
-dimensions, never negative, so norm(C) and norm(C^T) are the largest row
-and column sums of the cells (``_cell_norms``); without relations nu(C^-1)
-is 1 plus the largest row or column sum of B, and the Cartan rows are the
-graph rows (below), so their norms agree.  With relations the norm of each
-Cartan row is summed exactly from the coefficient lists of X_ij + X_ji
-(``_gamma_norms``), and nu(C^-1) is taken on the elimination inverse.  The
+graph row v has norm 1 + sum_j c_vj, so g = m + 1; the norms of C, X and
+their transposes are the largest row and column sums of |coefficient|
+over their cells (``_cell_norms``), and each Cartan row's norm is the row
+sum over the cells of X + X^T - E (``_gamma_norms``).  The
 Euler identities x^T C^-1 y = -(Phi y)^T C^-1 x = (Phi x)^T C^-1 (Phi y)
 hold for all x, y exactly when C^-1 equals both, so they are checked
 exactly, as two matrix identities.  The shared packed rows, and the norms
@@ -96,33 +91,32 @@ of the bound, read only the nonzero entries.
 Polynomial rows, where packing the inputs and unpacking the result would
 cost more than the product.  ``coxeter_matrix_bound`` forms
 Phi^T = -X^T C, X = C^-1, one row at a time: row j is the combination of
-C's rows that column j of -X names, and Phi is its transpose.  For X = E - qB without
-relations every coefficient is a monomial, -1 or b q, read off the arrow
-counts, so row j is row j of C negated plus one shifted add of row k of C
-per vertex k with arrows k -> j; a relation-bound X costs what C^T (-X)
-costs.  Without relations A = X + X^T = 2E - q(B + B^T), so the Cartan
-reflection row at v, -A_vj and 1 - A_vv = -1, is the graph row at v: the
-reflection product multiplies graph rows and forms no A.
+C's rows that column j of -X names, read off the cells of X, and Phi is
+its transpose.  For X = E - qB without relations every coefficient is a
+monomial, -1 or b q, so row j is row j of C negated plus one shifted add
+of row k of C per vertex k with arrows k -> j.  Without relations
+A = X + X^T = 2E - q(B + B^T), so the Cartan reflection row at v, -A_vj
+and 1 - A_vv = -1, is the graph row at v: the reflection product
+multiplies graph rows and forms no A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, zip_longest
+from itertools import zip_longest
 from math import ceil, prod
-from operator import add, attrgetter, mul
+from operator import add, mul
 
 from . import algebra
-from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM, GradedDimTable
+from .algebra import DEFAULT_DEGREE_CAP, DEFAULT_MAX_DIM
 from .errors import (DegreeCapExceeded, LoopAtVertex, NotAcyclic,
                      NotUnimodular)
-from .polyring import (MINUS_ONE, ZERO, Polynomial, PolyMatrix, norm, pack,
+from .polyring import (MINUS_ONE, ZERO, Polynomial, PolyMatrix, pack,
                        packed_combination, poly_vector, row_combination, slot_width)
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
 _HALF_Q = Polynomial([0, Fraction(1, 2)])
-_COEFFS = attrgetter("coeffs")
 _TWO = Polynomial([2])
 _Q = Polynomial([0, 1])
 
@@ -168,35 +162,24 @@ def _reflection_product(numbering, row_of, rows, combine=row_combination):
     return rows
 
 
-def _pack_rows(rows, w: int) -> list[list[int]]:
-    # only the nonzero entries are packed; the others stay 0
-    packed = []
-    for row in rows:
-        out = [0] * len(row)
-        for j in compress(count(), map(_COEFFS, row)):
-            out[j] = pack(row[j].coeffs, w)
-        packed.append(out)
-    return packed
-
-
-def _pack_cells(table: GradedDimTable, w: int) -> list[list[int]]:
-    # packed rows of the table's Cartan matrix, one pack per nonzero cell
-    rows = [[0] * table.n for _ in range(table.n)]
-    for (i, j), cs in table.cells.items():
+def _pack_cells(cells, n: int, w: int) -> list[list[int]]:
+    # packed rows of the n x n matrix with these cells, one pack per cell
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), cs in cells.items():
         rows[i][j] = pack(cs, w)
     return rows
 
 
-def _cell_norms(table: GradedDimTable) -> tuple[int, int]:
-    """norm(C) and norm(C^T) for the table's Cartan matrix C: its
-    coefficients are dimensions, never negative, so these are the largest
-    row and column sums of the cells."""
-    rows, columns = [0] * table.n, [0] * table.n
-    for (i, j), cs in table.cells.items():
-        total = sum(cs)
+def _cell_norms(cells, n: int) -> tuple[int, int]:
+    """norm(M) and norm(M^T) for the n x n matrix M with these cells, as
+    ``norm`` gives them: the largest row and column sums of |coefficient|
+    (M is C or C^-1, so no row or column is 0)."""
+    rows, columns = [0] * n, [0] * n
+    for (i, j), cs in cells.items():
+        total = sum(map(abs, cs))
         rows[i] += total
         columns[j] += total
-    return max(rows), max(columns)
+    return ceil(max(rows)), ceil(max(columns))
 
 
 def _packed_graph_rows(counts: list[list[int]], w: int) -> list[list[int]]:
@@ -213,15 +196,6 @@ def _packed_gram2(counts: list[list[int]], w: int) -> list[list[int]]:
     rows = [[-c << w for c in row] for row in counts]
     for v, row in enumerate(rows):
         row[v] = 2
-    return rows
-
-
-def _packed_inverse(entries: list[list[tuple[int, int, int]]], w: int) -> list[list[int]]:
-    # packed rows of C^-1 = E - qB from its entries (algebra.inverse_entries)
-    rows = [[0] * len(entries) for _ in entries]
-    for row, nonzero in zip(rows, entries):
-        for j, c0, c1 in nonzero:
-            row[j] = c0 + (c1 << w)
     return rows
 
 
@@ -356,10 +330,11 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     method="reflections" multiplies Cartan reflections along an admissible
     numbering and additionally needs the quiver to be acyclic.  The two
     agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
-    matrix; C^-1 comes from ``algebra.cartan_inverse``.  Without relations
+    matrix; C^-1 comes from ``algebra.inverse_cells`` for "cartan" and
+    from ``algebra.cartan_inverse`` for "reflections".  Without relations
     C^-1 = E - qB, so A = 2E - q(B + B^T) and the Cartan reflection rows
     are the graph rows: the reflection product multiplies those and needs
-    no C, and -C^-1 is read from the arrow counts.
+    no C.
     """
     if method not in ("reflections", "cartan"):
         raise ValueError(f"method must be 'reflections' or 'cartan', got {method!r}")
@@ -367,13 +342,12 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
         cartan = algebra.cartan_matrix(bq, degree_cap, max_dim)
     if method == "cartan":
         # row j of Phi^T = -X^T C, X = C^-1, is the combination of C's rows
-        # that column j of -X names (see the module docstring)
-        if bq.relations:
-            columns = zip(*(-algebra.cartan_inverse(bq, cartan)).rows)
-        else:
-            columns = _minus_inverse_columns(bq.quiver)
-        return PolyMatrix._make([row_combination(column, cartan.rows)
-                                 for column in columns]).transpose()
+        # that column j of -X, row j of -X^T, names (see the module docstring)
+        inverse = algebra.inverse_cells(bq, cartan)
+        minus_xt = algebra.cell_matrix(cartan.n, {(j, i): [-c for c in cs]
+                                                  for (i, j), cs in inverse.items()})
+        return PolyMatrix._make([row_combination(row, cartan.rows)
+                                 for row in minus_xt.rows]).transpose()
     if not bq.relations:
         # errors come as with C first: the limits raise what C would, and a
         # cyclic quiver never gets past them
@@ -385,16 +359,6 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     form = symmetric_form_matrix(cartan, algebra.cartan_inverse(bq, cartan))
     return PolyMatrix._make(_reflection_product(
         numbering, lambda v: _gamma_row(form.rows[v], v), PolyMatrix.identity(form.n).rows))
-
-
-def _minus_inverse_columns(quiver: Quiver) -> list[list[Polynomial]]:
-    # the columns of -C^-1 = qB - E without relations, from its entries
-    n = quiver.n
-    columns = [[ZERO] * n for _ in range(n)]
-    for i, entries in enumerate(algebra.inverse_entries(quiver.arrow_counts())):
-        for j, c0, c1 in entries:
-            columns[j][i] = Polynomial._make([-c0, -c1])
-    return columns
 
 
 def euler_form(cartan: PolyMatrix | None, x, y,
@@ -508,20 +472,25 @@ def _two_sided(eye, rows, v: int, row) -> list[list[int]]:
     return [packed_combination(r, s) if r[v] else r for r in sm]
 
 
-def _gamma_norms(rows) -> list[int]:
+def _gamma_norms(cells, n: int) -> list[int]:
     """The norm of each Cartan reflection row, -A_ij and 1 - A_ii for
-    A = X + X^T and X with these rows, summed exactly from the coefficient
-    lists of X_ij + X_ji."""
-    norms = []
-    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
-        total = 0 if row[i].coeffs else 1     # 1 - A_ii is 1 when X_ii is 0
-        for j in compress(count(), map(any, zip(map(_COEFFS, row), map(_COEFFS, column)))):
-            cs = [a + b for a, b in zip_longest(row[j].coeffs, column[j].coeffs, fillvalue=0)]
-            if j == i:
-                cs[0] -= 1
-            total += sum(map(abs, cs))
-        norms.append(ceil(total))
-    return norms
+    A = X + X^T and X with these cells: the sum of |coefficient| over row i
+    of A - E, where A_ij is summed exactly from X_ij and X_ji when both are
+    nonzero."""
+    norms = [0 if (i, i) in cells else 1 for i in range(n)]   # 1 - A_ii = 1
+    for (i, j), cs in cells.items():
+        if i == j:
+            cs = [2 * c for c in cs]
+            cs[0] -= 1
+        elif (j, i) in cells:
+            if i > j:
+                continue
+            cs = [a + b for a, b in zip_longest(cs, cells[j, i], fillvalue=0)]
+        total = sum(map(abs, cs))
+        norms[i] += total
+        if i != j:
+            norms[j] += total
+    return list(map(ceil, norms))
 
 
 def _euler_form_invariant(inverse_p, phi_rows, phi_columns) -> bool:
@@ -546,12 +515,11 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     why = {"acyclic": "" if acyclic else "requires an acyclic quiver",
            "relation_free": "requires a relation-free quiver" if bq.relations else ""}
 
-    # graded dimensions of the bound quiver, whose cells are C, and with
-    # relations C^-1 by elimination, shared by everything below
+    # the cells of C, from the graded dimensions, and of C^-1, shared by
+    # everything below; C^-1 reads C only with relations
     try:
         dims = algebra.graded_dims(bq, degree_cap, max_dim)
-        if bq.relations:
-            inverse = dims.cartan().inverse_unimodular()
+        inverse = algebra.inverse_cells(bq, dims.cartan() if bq.relations else None)
         why["inverse"] = ""
     except DegreeCapExceeded as exc:
         why["inverse"] = f"graded dimensions did not terminate ({exc})"
@@ -588,22 +556,15 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         # s Phi s, the braid sums and the 2G combinations
         terms += [m * m * p, m * (m + 1) + c_max * c_max + 1, (m + 1) * (m + 3)]
     if not why["inverse"]:
-        norm_c, norm_ct = _cell_norms(dims)
+        norm_c, norm_ct = _cell_norms(dims.cells, n)
         nu_c = max(norm_c, norm_ct)
-        if bq.relations:
-            gamma_norms = _gamma_norms(inverse.rows)
-            nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
-        else:
-            # the Cartan rows are the graph rows (coxeter_matrix_bound), and
-            # C^-1 = E - qB
-            gamma_norms = norms
-            arrows = quiver.arrow_counts()
-            nu_inverse = 1 + max(max(map(sum, arrows)), max(map(sum, zip(*arrows))))
+        nu_inverse = max(_cell_norms(inverse, n))
+        gamma_norms = _gamma_norms(inverse, n)
         phi = nu_c * nu_inverse
         # the Cartan words, the entries of A, and the products with Phi
         terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
     for _, flipped_dims, _ in flipped:
-        terms += [m * (m + 1) * norm_c, _cell_norms(flipped_dims)[0]]
+        terms += [m * (m + 1) * norm_c, _cell_norms(flipped_dims.cells, n)[0]]
     w = slot_width(max(terms))
     eye = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -615,11 +576,8 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
         phi_graph = _word(eye, graph_p, *first)
     involutive = commuting = ()
     if not why["inverse"]:
-        cartan_p = _pack_cells(dims, w)
-        if bq.relations:
-            inverse_p = _pack_rows(inverse.rows, w)
-        else:
-            inverse_p = _packed_inverse(algebra.inverse_entries(arrows), w)
+        cartan_p = _pack_cells(dims.cells, n, w)
+        inverse_p = _pack_cells(inverse, n, w)
         # column j of Phi = -C^T C^-1 is the combination of C's rows that
         # column j of -C^-1 names: the packed kernel reads only the nonzero
         # entries, and C^-1 is the sparser (E - q * arrow counts when there
@@ -655,7 +613,7 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
          lambda: _word(eye, graph_p, *second) == phi_graph),
         ("coxeter_vs_cartan", sink_theorems, lambda: phi_graph == phi_cartan),
         ("sink_reflection_cartan", sink_theorems + ("reversed_sinks",),
-         lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_cells(t, w)
+         lambda: all(_congruent(cartan_p, i, graph_p[i]) == _pack_cells(t.cells, n, w)
                      for i, t, _ in flipped)),
         ("sink_reflection_coxeter", sink_theorems + ("reversed_sinks",),
          lambda: all(_two_sided(eye, phi_graph, i, graph_p[i]) ==

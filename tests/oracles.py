@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice, permutations
-from math import comb
+from itertools import compress, count, islice, permutations, zip_longest
+from math import ceil, comb
 
 from qcox.errors import QuiverSyntaxError, ValidationError
-from qcox.polyring import Polynomial, PolyMatrix, parse_rational, poly_vector, row_combination
+from qcox.polyring import (Polynomial, PolyMatrix, pack, parse_rational, poly_vector,
+                           row_combination)
 from qcox.quiverdsl import Arrow, BoundQuiver, Path, Quiver, Relation, validate
 
 
@@ -427,17 +428,47 @@ def unpack(v: int, w: int) -> Polynomial:
     return Polynomial(cs)
 
 
+def pack_rows(rows, w: int) -> list[list[int]]:
+    """p(2^w) for every entry p of the Polynomial rows (``polyring.pack``);
+    only the nonzero entries are packed, the others stay 0."""
+    packed = []
+    for row in rows:
+        out = [0] * len(row)
+        for j in compress(count(), (e.coeffs for e in row)):
+            out[j] = pack(row[j].coeffs, w)
+        packed.append(out)
+    return packed
+
+
+def gamma_norms(rows) -> list[int]:
+    """The norm of each Cartan reflection row, -A_ij and 1 - A_ii for
+    A = X + X^T and X with these Polynomial rows, summed exactly from the
+    coefficient lists of X_ij + X_ji."""
+    norms = []
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        total = 0 if row[i].coeffs else 1     # 1 - A_ii is 1 when X_ii is 0
+        for j in range(len(row)):
+            if not (row[j].coeffs or column[j].coeffs):
+                continue
+            cs = [a + b for a, b in zip_longest(row[j].coeffs, column[j].coeffs, fillvalue=0)]
+            if j == i:
+                cs[0] -= 1
+            total += sum(map(abs, cs))
+        norms.append(ceil(total))
+    return norms
+
+
 def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_000_000) -> int:
     """The bound whose slot width ``verify_identities`` uses, with every
     norm taken on Polynomial rows, as the verifier once did: the graph rows
     and 2G (``coxeter._graph_row``, ``coxeter._gram2``), ``norm`` and
-    ``coxeter._gamma_norms`` on the PolyMatrix C and C^-1, and ``norm`` on
+    ``gamma_norms`` on the PolyMatrix C and C^-1, and ``norm`` on
     the C of each quiver with the arrows at a sink reversed.  It raises
     what the verifier raises."""
     from math import prod
 
     from qcox.algebra import cartan_inverse, cartan_matrix
-    from qcox.coxeter import _gamma_norms, _graph_row, _gram2, sigma_reflect
+    from qcox.coxeter import _graph_row, _gram2, sigma_reflect
     from qcox.errors import DegreeCapExceeded, NotUnimodular
     from qcox.polyring import norm
     quiver = bq.quiver
@@ -464,12 +495,12 @@ def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_
         terms += [m * m * prod(norms), m * (m + 1) + c_max * c_max + 1,
                   norm(_gram2(counts)) * (m + 3)]
     if cartan is not None:
-        gamma_norms = _gamma_norms(inverse.rows)
+        row_norms = gamma_norms(inverse.rows)
         norm_c = norm(cartan.rows)
         nu_c = max(norm_c, norm(zip(*cartan.rows)))
         nu_inverse = max(norm(inverse.rows), norm(zip(*inverse.rows)))
         phi = nu_c * nu_inverse
-        terms += [prod(gamma_norms), max(gamma_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
+        terms += [prod(row_norms), max(row_norms) + 1, nu_c * phi, nu_inverse * phi * phi]
     for c in flipped:
         terms += [m * (m + 1) * norm_c, norm(c.rows)]
     return max(terms)

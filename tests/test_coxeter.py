@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qcox.algebra import cartan_inverse, cartan_matrix
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
                           _euler_form_invariant, _form_invariant, _gram2, _involution_holds,
-                          _pack_rows, _two_sided,
+                          _two_sided,
                           admissible_numbering, bilinear_form_graph, coxeter_matrix_bound,
                           coxeter_matrix_graph, euler_form, gamma_reflection,
                           graph_reflection, gram_matrix, quadratic_form_graph,
@@ -22,7 +22,7 @@ from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (checks_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
-                     is_identity, is_symmetric, mul_vector, naive_matmul,
+                     is_identity, is_symmetric, mul_vector, naive_matmul, pack_rows,
                      random_cyclic_bound_quiver, scaled)
 
 
@@ -673,7 +673,7 @@ def test_row_local_checks_match_full_matrix_identities(case, i, step):
     i %= n
     j = (i + 1 + step % (n - 1)) % n
     si, sj = _full(n, rows, i), _full(n, rows, j)
-    packed = _pack_rows(rows, W)
+    packed = pack_rows(rows, W)
     assert _involution_holds(packed, i) == is_identity(naive_matmul(si, si))
     assert _commutation_holds(packed, i, j) == (naive_matmul(si, sj) == naive_matmul(sj, si))
     factor = P(-1, 0, counts[i][j] * counts[j][i])
@@ -689,7 +689,7 @@ def test_row_local_checks_match_full_matrix_identities(case, i, step):
     # the verifier reads 2G, with int coefficients; G is its half
     gram2 = _gram2(multigraph.edge_counts())
     assert scaled(gram, 2) == PolyMatrix(gram2)
-    assert _form_invariant(_pack_rows(gram2, W)[i], i, packed[i]) == invariant
+    assert _form_invariant(pack_rows(gram2, W)[i], i, packed[i]) == invariant
 
 
 @settings(max_examples=100, deadline=None)
@@ -700,11 +700,11 @@ def test_sink_conjugates_match_full_matrix_products(case, data):
     m = PolyMatrix(data.draw(st.lists(st.lists(_poly, min_size=n, max_size=n),
                                       min_size=n, max_size=n)))
     s = _full(n, rows, v)
-    packed_m, row = _pack_rows(m.rows, W), _pack_rows(rows, W)[v]
+    packed_m, row = pack_rows(m.rows, W), pack_rows(rows, W)[v]
     assert _congruent(packed_m, v, row) == \
-        _pack_rows(naive_matmul(naive_matmul(s, m), s.transpose()).rows, W)
+        pack_rows(naive_matmul(naive_matmul(s, m), s.transpose()).rows, W)
     assert _two_sided(_eye(n), packed_m, v, row) == \
-        _pack_rows(naive_matmul(naive_matmul(s, m), s).rows, W)
+        pack_rows(naive_matmul(naive_matmul(s, m), s).rows, W)
 
 
 def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
@@ -868,21 +868,23 @@ def _corrupt_first_row(inverse: PolyMatrix) -> PolyMatrix:
 
 
 def _packed_inverse_with_q_added(monkeypatch, i: int, j: int) -> None:
-    # the verifier packs C^-1 = E - qB of a relation-free quiver from its
-    # entries at width w, where adding 2^w to entry (i, j) adds q to it
-    import qcox.coxeter as coxeter_module
-    original = coxeter_module._packed_inverse
+    # the verifier packs C^-1 from the cells of algebra.inverse_cells: q is
+    # added to the coefficients of cell (i, j)
+    import qcox.algebra as algebra_module
+    original = algebra_module.inverse_cells
 
-    def corrupted(entries, w):
-        rows = original(entries, w)
-        rows[i][j] += 1 << w
-        return rows
+    def corrupted(*args):
+        cells = original(*args)
+        cs = cells.get((i, j), [0]) + [0]
+        cs[1] += 1
+        cells[i, j] = cs
+        return cells
 
-    monkeypatch.setattr(coxeter_module, "_packed_inverse", corrupted)
+    monkeypatch.setattr(algebra_module, "inverse_cells", corrupted)
 
 
 def test_verify_identities_fails_on_a_corrupted_inverse(monkeypatch):
-    # A3 has no relations: C^-1 is the closed form E - qB of algebra.inverse_entries
+    # A3 has no relations: C^-1 is the closed form E - qB of algebra.inverse_cells
     assert idx(verify_identities(BoundQuiver(A3)))["euler_form_coxeter"] == ("pass", "")
     _packed_inverse_with_q_added(monkeypatch, 0, 1)
     report = idx(verify_identities(BoundQuiver(A3)))
@@ -941,7 +943,7 @@ def test_euler_form_invariant_matches_matrix_products():
             # the elimination inverse keeps integer coefficients as Fractions
             w = slot_width(int(max(abs(k) for m in (x, *sides)
                                    for row in m.rows for e in row for k in e.coeffs)))
-            x_p, phi_p = _pack_rows(x.rows, w), _pack_rows(phi.rows, w)
+            x_p, phi_p = pack_rows(x.rows, w), pack_rows(phi.rows, w)
             holds = tuple(side == x for side in sides)
             assert _euler_form_invariant(x_p, phi_p, [list(col) for col in zip(*phi_p)]) \
                 == all(holds)
@@ -989,11 +991,10 @@ def test_verifier_slot_bound_matches_the_polynomial_rows(monkeypatch):
 
 @pytest.mark.parametrize("w", [3, 44])
 def test_packed_rows_from_counts_and_cells_are_the_packed_polynomial_rows(w):
-    # C from its cells, C^-1 = E - qB from its entries, and the graph rows
-    # and 2G from the edge counts
-    from qcox.algebra import graded_dims, inverse_entries
-    from qcox.coxeter import (_graph_row, _pack_cells, _packed_graph_rows, _packed_gram2,
-                              _packed_inverse)
+    # C and C^-1 from their cells, on bound, cyclic and relation-free input,
+    # and the graph rows and 2G from the edge counts
+    from qcox.algebra import graded_dims, inverse_cells
+    from qcox.coxeter import _graph_row, _pack_cells, _packed_graph_rows, _packed_gram2
     from qcox.errors import QcoxError
     seen = Counter()
     for bq in _count_and_cell_inputs():
@@ -1003,19 +1004,28 @@ def test_packed_rows_from_counts_and_cells_are_the_packed_polynomial_rows(w):
         except QcoxError:
             table = None
         if table is not None:
-            assert _pack_cells(table, w) == _pack_rows(cartan_matrix(bq).rows, w)
+            c = cartan_matrix(bq)
+            assert _pack_cells(table.cells, quiver.n, w) == pack_rows(c.rows, w)
             seen["cells"] += 1
-            if not bq.relations:
-                assert _packed_inverse(inverse_entries(quiver.arrow_counts()), w) == \
-                    _pack_rows(cartan_inverse(bq).rows, w)
-                seen["inverse"] += 1
+            try:
+                inverse = cartan_inverse(bq, c)
+            except NotUnimodular:
+                with pytest.raises(NotUnimodular):
+                    inverse_cells(bq, c)
+                seen["not unimodular"] += 1
+            else:
+                assert _pack_cells(inverse_cells(bq, c), quiver.n, w) == \
+                    pack_rows(inverse.rows, w)
+                seen["bound inverse" if bq.relations else "inverse"] += 1
+                seen["cyclic inverse"] += not quiver.is_acyclic()
         if quiver.is_acyclic():
             counts = quiver.edge_counts()
             rows = [_graph_row(quiver, counts, v) for v in range(quiver.n)]
-            assert _packed_graph_rows(counts, w) == _pack_rows(rows, w)
-            assert _packed_gram2(counts, w) == _pack_rows(_gram2(counts), w)
+            assert _packed_graph_rows(counts, w) == pack_rows(rows, w)
+            assert _packed_gram2(counts, w) == pack_rows(_gram2(counts), w)
             seen["counts"] += 1
-    assert min(seen.values()) >= 100
+    assert min(seen[k] for k in ("cells", "inverse", "counts")) >= 100
+    assert min(seen[k] for k in ("bound inverse", "cyclic inverse", "not unimodular")) >= 4
 
 
 def _counting(monkeypatch, calls, *targets):

@@ -11,12 +11,19 @@ even and the change first when k is odd, each side as
 ``python perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
 its own checkout.  Each run's last stdout line is added to OUT.json, a JSON
 list with one row per line, with its side, workload, seed, pair index,
-revision, Python version, seconds and exit code.  Pair indices go on from
-the rows already in OUT.json for that workload.
+revision, Python version, seconds and exit code.  A run whose last line
+is not a JSON object, such as the ``# ...`` line a killed or crashed run
+leaves, is kept with ``result`` null.  Pair indices go on from the rows
+already in OUT.json for that workload.
 
-``summary`` prints, per workload, change revision and end-to-end metric,
-the parent and change medians, the parent's quartiles, and in how many
-pairs the change is lower.
+``summary`` prints, per workload and change revision, how many runs of
+each side have no result, and per end-to-end metric of BENCHMARK.json
+the parent and change medians, the parent's quartiles, in how many pairs
+the change is better, and the change of the medians against the metric's
+bound: ``worse`` when the change is worse by more than the bound,
+``unresolved`` when the parent's IQR over its median exceeds the bound
+(unless every change run is better than every parent run), else
+``within``.
 """
 
 import argparse
@@ -25,8 +32,9 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
-METRICS = ("pass_cpu_s", "call_cpu_ms_p50", "call_cpu_ms_p90", "peak_rss_mb", "setup_s")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _load(path: str) -> list[dict]:
@@ -63,38 +71,62 @@ def run(args) -> None:
             rows.append({"side": side, "workload": args.workload, "seed": seed, "pair": pair,
                          "revision": revision, "python": platform.python_version(),
                          "seconds": args.seconds, "exit_code": proc.returncode,
-                         "result": json.loads(lines[-1]) if lines else None})
+                         "result": _result(lines[-1]) if lines else None})
             _save(args.out, rows)
+
+
+def _result(line: str) -> dict | None:
+    try:
+        result = json.loads(line)
+    except ValueError:
+        return None
+    return result if isinstance(result, dict) else None
 
 
 def summary(args) -> None:
     rows = _load(args.out)
+    with open(BENCHMARK) as fh:
+        metrics = json.load(fh)["end_to_end"]
     for workload in sorted({r["workload"] for r in rows}):
-        mine = [r for r in rows if r["workload"] == workload and r["result"]]
+        mine = [r for r in rows if r["workload"] == workload]
         revisions = {r["pair"]: r["revision"] for r in mine if r["side"] == "change"}
         for revision in sorted(set(revisions.values())):
-            _summarize(f"{workload} ({revision})",
+            _summarize(f"{workload} ({revision})", metrics,
                        [r for r in mine if revisions.get(r["pair"]) == revision])
 
 
-def _summarize(title: str, rows: list[dict]) -> None:
-    by_side = {side: {r["pair"]: r["result"]["metrics"] for r in rows if r["side"] == side}
+def _summarize(title: str, metrics: list[dict], rows: list[dict]) -> None:
+    by_side = {side: {r["pair"]: r["result"]["metrics"]
+                      for r in rows if r["side"] == side and r["result"]}
                for side in ("parent", "change")}
     pairs = sorted(set(by_side["parent"]) & set(by_side["change"]))
-    failed = sum(r["result"]["failed"] for r in rows)
-    attempted = sum(r["result"]["attempted"] for r in rows)
-    print(f"{title}: {len(pairs)} pairs, {failed} of {attempted} calls failed")
+    failed = sum(r["result"]["failed"] for r in rows if r["result"])
+    attempted = sum(r["result"]["attempted"] for r in rows if r["result"])
+    missing = {side: sum(1 for r in rows if r["side"] == side and not r["result"])
+               for side in ("parent", "change")}
+    print(f"{title}: {len(pairs)} pairs, {failed} of {attempted} calls failed, "
+          f"runs without a result: parent {missing['parent']}, change {missing['change']}")
     if len(pairs) < 2:
         return
-    for metric in METRICS:
-        parent = [by_side["parent"][p][metric]["value"] for p in pairs]
-        change = [by_side["change"][p][metric]["value"] for p in pairs]
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "lower" else -1
+        parent = [by_side["parent"][p][name]["value"] for p in pairs]
+        change = [by_side["change"][p][name]["value"] for p in pairs]
         q1, _, q3 = statistics.quantiles(parent, n=4)
         mp, mc = statistics.median(parent), statistics.median(change)
-        lower = sum(c < p for p, c in zip(parent, change))
-        print(f"  {metric}: {mp:.4g} -> {mc:.4g} ({100 * (mc - mp) / mp:+.1f}%), "
-              f"parent quartiles [{q1:.4g}, {q3:.4g}], IQR {q3 - q1:.4g}, "
-              f"change lower in {lower}/{len(pairs)}")
+        better = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        worse_by = sign * (mc - mp) / mp
+        if worse_by > bound:
+            verdict = "worse"
+        elif (q3 - q1) / mp > bound and not \
+                max(sign * c for c in change) < min(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within"
+        print(f"  {name}: {mp:.4g} -> {mc:.4g} ({100 * (mc - mp) / mp:+.1f}%, "
+              f"bound {100 * bound:.0f}%: {verdict}), parent quartiles [{q1:.4g}, {q3:.4g}], "
+              f"IQR {q3 - q1:.4g}, change better in {better}/{len(pairs)}")
 
 
 def main() -> None:
