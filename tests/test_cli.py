@@ -610,3 +610,46 @@ def test_json_matrix_writes_each_distinct_entry_once(monkeypatch):
     assert text == json.dumps(matrix_json_obj(phi), indent=2)
     assert len({e.coeffs for row in phi.rows for e in row}) == 61
     assert 0 < len(calls) <= 61
+
+
+def test_matrix_writes_each_distinct_entry_once_in_every_format(monkeypatch):
+    # plain and LaTeX format, and --at-q evaluates, each of the 61 distinct
+    # entries of A30's Coxeter matrix once, and write what every entry
+    # written on its own gives
+    import qcox.cli as cli_module
+    from qcox.coxeter import coxeter_matrix_bound
+    from qcox.polyring import format_rational
+    from qcox.quiverdsl import BoundQuiver
+    from test_cli_golden import golden_quivers
+    phi = coxeter_matrix_bound(BoundQuiver(golden_quivers()["A30"]))
+    at = Fraction(-1, 2)
+    values = phi.specialize(at)
+
+    def grid(cells):
+        widths = [max(len(row[j]) for row in cells) for j in range(phi.n)]
+        return "\n".join("[ " + "  ".join(e.rjust(w) for e, w in zip(row, widths)) + " ]"
+                         for row in cells)
+
+    def latex(cells):
+        return "\n".join(["\\left(\\begin{array}{" + "c" * phi.n + "}",
+                          *(" & ".join(row) + " \\\\" for row in cells),
+                          "\\end{array}\\right)"])
+
+    expected = {
+        ("plain", None): str(phi),
+        ("latex", None): latex([[poly_latex(e) for e in row] for row in phi.rows]),
+        ("plain", at): grid([[format_rational(v) for v in row] for row in values]),
+        ("latex", at): latex([[cli_module._rational_latex(v) for v in row] for row in values]),
+        ("json", at): json.dumps({"n": phi.n, "at_q": "-1/2",
+                                  "entries": [[format_rational(v) for v in row]
+                                              for row in values]}, indent=2),
+    }
+    calls = []
+    for owner, name in ((Polynomial, "evaluate"), (Polynomial, "__str__"),
+                        (cli_module, "poly_latex")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=original: calls.append(1) or _f(*args))
+    for (fmt, at_q), text in expected.items():
+        calls.clear()
+        assert render_matrix(phi, fmt, at_q) == text
+        assert 0 < len(calls) <= 61
