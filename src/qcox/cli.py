@@ -3,49 +3,41 @@
 Subcommands: cartan, coxeter, dims, forms, reflect, numbering, verify.
 Input files are quiver descriptions (.qv, or any extension other than
 .json) or the equivalent JSON schema (.json).  Output formats: plain,
-json, latex.  Exit codes: 0 success, 1 a verification check failed,
-2 bad input, a model error, a resource limit or an internal error (the
-message names the error kind; an unexpected exception is reported as
-``InternalError`` with its type).
+json, latex.  JSON has the layout of ``json.dumps(obj, indent=2)``:
+matrices, verify reports and dims tables, the large payloads, are written
+in it straight, and the small ones by ``json.dumps`` itself.  Exit codes:
+0 success, 1 a verification check failed, 2 bad input, a model error, a
+resource limit or an internal error (the message names the error kind; an
+unexpected exception is reported as ``InternalError`` with its type).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 
 from . import algebra, coxeter
 from .errors import QcoxError, ValidationError
-from .polyring import Polynomial, PolyMatrix, format_rational, parse_rational
-from .quiverdsl import BoundQuiver, emit_json_obj, emit_text, json_text, load_file
+from .polyring import (Polynomial, PolyMatrix, format_rational, grid_text, parse_rational,
+                       poly_text)
+from .quiverdsl import BoundQuiver, emit_json_obj, emit_text, load_file
 from .randquiver import random_bound_quiver
 
 _COEFFS = attrgetter("coeffs")
 
 
 def poly_latex(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for deg, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if deg == 0:
-            body = _rational_latex(mag)
-        else:
-            var = "q" if deg == 1 else f"q^{{{deg}}}"
-            body = var if mag == 1 else _rational_latex(mag) + var
-        sign = "-" if neg else ("+" if parts else "")
-        parts.append(sign + body)
-    return "".join(parts)
+    return poly_text(p.coeffs, _latex_number, "q^{{{}}}")
+
+
+def _latex_number(mag, var: str) -> str:
+    return _rational_latex(mag) + var
 
 
 def _rational_latex(value) -> str:
@@ -64,38 +56,33 @@ def _matrix_latex(cells: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _grid_plain(cells: list[list[str]]) -> str:
-    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-    return "\n".join(
-        "[ " + "  ".join(row[j].rjust(widths[j]) for j in range(len(row))) + " ]"
-        for row in cells)
-
-
 def render_matrix(m: PolyMatrix, fmt: str, at_q: Fraction | None) -> str:
     # each distinct entry, keyed by its coefficients, is written once
     coeffs = [list(map(_COEFFS, row)) for row in m.rows]
     written = dict.fromkeys(chain.from_iterable(coeffs))
-    straight = fmt == "json" and at_q is None
-    write = _entry_json if straight else partial(_entry_text, fmt, at_q)
     for cs in written:
-        written[cs] = write(cs)
-    if straight:
-        # json_text({"n": ..., "entries": ...}) written straight from the
-        # coefficients: str of an int or a Fraction needs no escaping
+        written[cs] = _entry(cs, fmt, at_q)
+    if fmt == "json":
+        # json.dumps({"n": ..., "at_q": ..., "entries": ...}, indent=2)
+        # written straight, with "at_q" only under --at-q: str of an int or
+        # a Fraction needs no escaping
+        at = "" if at_q is None else f'\n  "at_q": "{format_rational(at_q)}",'
         rows = (",\n      ".join(map(written.__getitem__, row)) for row in coeffs)
-        return ('{\n  "n": ' + str(m.n) + ',\n  "entries": [\n    [\n      '
+        return ('{\n  "n": ' + str(m.n) + "," + at + '\n  "entries": [\n    [\n      '
                 + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}")
     cells = [list(map(written.__getitem__, row)) for row in coeffs]
-    if fmt == "json":
-        return _dumps({"n": m.n, "at_q": format_rational(at_q), "entries": cells})
-    return _matrix_latex(cells) if fmt == "latex" else _grid_plain(cells)
+    return _matrix_latex(cells) if fmt == "latex" else grid_text(cells)
 
 
-def _entry_text(fmt: str, at_q: Fraction | None, cs: tuple) -> str:
-    # an entry, given by its coefficients, as render_poly writes it, or as
-    # its JSON value at q = at_q
+def _entry(cs: tuple, fmt: str, at_q: Fraction | None) -> str:
+    # an entry, given by its coefficients, as render_matrix writes it: in
+    # JSON its coefficient list or its quoted value at q = at_q, else _text
+    if fmt == "json" and at_q is None:
+        return _entry_json(cs)
     p = Polynomial._make(list(cs))
-    return _poly_json(p, at_q) if fmt == "json" else render_poly(p, fmt, at_q)
+    if fmt == "json":
+        return f'"{format_rational(p.evaluate(at_q))}"'
+    return _text(p, fmt, at_q)
 
 
 _COEFF_SEP = '",\n        "'
@@ -121,39 +108,39 @@ def _poly_json(p: Polynomial, at_q: Fraction | None):
     return p.to_coeff_strings() if at_q is None else format_rational(p.evaluate(at_q))
 
 
+def _text(p: Polynomial, fmt: str, at_q: Fraction | None) -> str:
+    # p in plain or LaTeX form, or its value at q = at_q in that form
+    if at_q is None:
+        return poly_latex(p) if fmt == "latex" else str(p)
+    v = p.evaluate(at_q)
+    return _rational_latex(v) if fmt == "latex" else format_rational(v)
+
+
 def render_vector(entries, fmt: str, at_q: Fraction | None, label: str = "") -> str:
     if fmt == "json":
         return _dumps([_poly_json(e, at_q) for e in entries])
-    if at_q is not None:
-        values = [e.evaluate(at_q) for e in entries]
-        body = ", ".join(_rational_latex(v) if fmt == "latex" else format_rational(v)
-                         for v in values)
-    else:
-        body = ", ".join(poly_latex(e) if fmt == "latex" else str(e) for e in entries)
-    text = f"({body})^T" if fmt == "latex" else f"({body})"
-    return f"{label}{text}" if label else text
+    body = ", ".join(_text(e, fmt, at_q) for e in entries)
+    return label + (f"({body})^T" if fmt == "latex" else f"({body})")
 
 
 def render_poly(p: Polynomial, fmt: str, at_q: Fraction | None) -> str:
     if fmt == "json":
         return _dumps(_poly_json(p, at_q))
-    if at_q is not None:
-        v = p.evaluate(at_q)
-        return _rational_latex(v) if fmt == "latex" else format_rational(v)
-    return poly_latex(p) if fmt == "latex" else str(p)
+    return _text(p, fmt, at_q)
 
 
 def _dumps(obj) -> str:
-    return json_text(obj)
+    return json.dumps(obj, indent=2)
 
 
 def _json_items(items: list[str], pad: str) -> str:
-    # json_text's layout of a list whose items, written at indent pad, are given
+    # the json.dumps(..., indent=2) layout of a list whose items, written at
+    # indent pad, are given
     return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}]" if items else "[]"
 
 
 def _verify_json(passed: bool, reports) -> str:
-    """json_text of the verify payload, written straight:
+    """json.dumps(payload, indent=2) of the verify payload, written straight:
     {"passed": ..., "reports": [{"instance": label, "checks": [{"identity":
     ..., "status": ..., "reason": ...}, ...]}, ...]}."""
     items = []
@@ -169,9 +156,9 @@ def _verify_json(passed: bool, reports) -> str:
 
 
 def _dims_json(table: algebra.GradedDimTable, names) -> str:
-    """json_text of the dims table, written straight: {"dims": [{"source":
-    name, "target": name, "degree": d, "dim": value}, ...], "max_degree": ...},
-    sorted by (source, target, degree) indices."""
+    """json.dumps(payload, indent=2) of the dims table, written straight:
+    {"dims": [{"source": name, "target": name, "degree": d, "dim": value},
+    ...], "max_degree": ...}, sorted by (source, target, degree) indices."""
     names = [_encode_str(v) for v in names]
     entries = []
     for (i, j), cs in sorted(table.cells.items()):

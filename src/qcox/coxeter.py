@@ -64,10 +64,11 @@ Every matrix the verifier multiplies lies over Z[q] (C^-1 too, as det
 C = 1), so it packs each entry p as the integer p(2^w) (``polyring.pack``)
 and compares integers, which is exact when every compared coefficient is
 at most B in absolute value and w = slot_width(B).  B comes once per call
-from the input norms: ``norm`` (the max row sum) is submultiplicative, and
-so is nu(X) = max(norm(X), norm(X^T)), which also bounds X^T.  With m and
-p the largest and the product of the reflections' norms, a numbering word
-has norm at most p (each letter once) and s Phi s at most m^2 p.
+from the input norms: norm, the max row sum of |coefficient|, is
+submultiplicative, and so is nu(X) = max(norm(X), norm(X^T)), which also
+bounds X^T.  With m and p the largest and the product of the reflections'
+norms, a numbering word has norm at most p (each letter once) and s Phi s
+at most m^2 p.
 Phi = -C^T C^-1 has nu(Phi) <= phi = nu(C) nu(C^-1), X C is at most phi
 and C^T (X C) at most nu(C) phi, s C s^T is at most m norm(C) (1 + m), as
 the column sums of s are at most 1 + m, the C of a quiver with reversed
@@ -171,9 +172,9 @@ def _pack_cells(cells, n: int, w: int) -> list[list[int]]:
 
 
 def _cell_norms(cells, n: int) -> tuple[int, int]:
-    """norm(M) and norm(M^T) for the n x n matrix M with these cells, as
-    ``norm`` gives them: the largest row and column sums of |coefficient|
-    (M is C or C^-1, so no row or column is 0)."""
+    """norm(M) and norm(M^T) for the n x n matrix M with these cells: the
+    largest row and column sums of |coefficient| (M is C or C^-1, so no
+    row or column is 0)."""
     rows, columns = [0] * n, [0] * n
     for (i, j), cs in cells.items():
         total = sum(map(abs, cs))

@@ -41,15 +41,18 @@ absolute value and w = slot_width(B), then 2B < 2^(w-1), so a(2^w) ==
 b(2^w) only when a == b (a nonzero polynomial packs to 0 only with a
 coefficient of absolute value at least 2^w), and a's coefficients are the
 balanced base-2^w digits of a(2^w).  A packed value that merely looks
-small proves nothing: B must be proved from the inputs, as a product of
-``norm`` values is.
+small proves nothing: B must be proved from the inputs, as the verifier
+proves it from the row and column sums of |coefficient| that it reads off
+the cells of C and C^-1 (``coxeter._cell_norms``).
+
+Plain text and LaTeX write a polynomial's signed terms with one routine,
+``poly_text``, and a matrix's plain grid is ``grid_text``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from math import ceil
+from itertools import compress, count, repeat
 from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -180,11 +183,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate(self, q0) -> Fraction:
-        """Evaluate at an exact rational point (Horner)."""
-        acc = Fraction(0)
+        """Evaluate at an exact rational point (Horner; in ints at an
+        integral point, which costs far less than in Fractions)."""
+        if q0.denominator == 1:
+            q0 = q0.numerator
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
-        return acc
+        return Fraction(acc)
 
     def to_coeff_strings(self) -> list[str]:
         """Serialize as ascending coefficient strings, e.g. 1+2q^2 -> ["1","0","2"]."""
@@ -192,33 +198,36 @@ class Polynomial:
         return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for deg, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            neg = c < 0
-            mag = -c if neg else c
-            mag_s = str(mag) if isinstance(mag, int) else format_rational(mag)
-            if deg == 0:
-                body = mag_s
-            else:
-                var = "q" if deg == 1 else f"q^{deg}"
-                if mag == 1:
-                    body = var
-                elif mag.denominator == 1:
-                    body = f"{mag_s}{var}"
-                else:
-                    body = f"({mag_s}){var}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"-{body}" if neg else f"+{body}")
-        return "".join(parts)
+        return poly_text(self.coeffs, _plain_number, "q^{}")
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def poly_text(cs: Sequence, number, power: str) -> str:
+    """The polynomial with the ascending coefficients cs as signed terms,
+    "0" if it has none.  The term c*q^d is its sign ("-", or "+" after the
+    first term), then q^d when |c| is 1 and d > 0, else number(|c|, q^d),
+    where q^d is "" for d = 0, "q" for d = 1 and power.format(d) after."""
+    parts = []
+    for deg in compress(count(), cs):
+        c = cs[deg]
+        mag = -c if c < 0 else c
+        var = "" if not deg else "q" if deg == 1 else power.format(deg)
+        body = var if var and mag == 1 else number(mag, var)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def _plain_number(mag, var: str) -> str:
+    # a fraction before a power is bracketed: (3/2)q
+    return f"({mag!s}){var}" if var and mag.denominator != 1 else f"{mag!s}{var}"
+
+
+def grid_text(cells: Sequence[Sequence[str]]) -> str:
+    """The rows of cells as bracketed lines, each column right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("[ " + "  ".join(map(str.rjust, row, widths)) + " ]" for row in cells)
 
 
 _COEFFS = attrgetter("coeffs")
@@ -279,15 +288,6 @@ def row_combination(coeffs: Sequence[Polynomial],
                     if cb:
                         cur[m] += ca * cb
     return tuple(_ZERO if cs is None else Polynomial._make(cs) for cs in acc)
-
-
-def norm(rows: Iterable[Iterable[Polynomial]]) -> int:
-    """The largest sum of |coefficient| over one row's entries, at least 1.
-
-    It bounds every coefficient, and norm(A*B) <= norm(A) * norm(B), as
-    |a*b|_1 <= |a|_1 |b|_1 for the sums |.|_1 of |coefficient|."""
-    return max(1, ceil(max(sum(map(abs, chain.from_iterable(map(_COEFFS, row))))
-                           for row in rows)))
 
 
 def slot_width(bound: int) -> int:
@@ -388,8 +388,8 @@ class PolyMatrix:
         return PolyMatrix._make([list(col) for col in zip(*self.rows)])
 
     def det(self) -> Polynomial:
-        """Determinant, by the elimination that also inverts (``_eliminate``)."""
-        return self._eliminate(False)[0]
+        """Determinant, read from the elimination that inverts (``_eliminate``)."""
+        return self._eliminate()[0]
 
     def adjugate(self) -> "PolyMatrix":
         """Transpose of the cofactor matrix; satisfies M*adj(M) = det(M)*E."""
@@ -414,26 +414,27 @@ class PolyMatrix:
 
         Raises NotUnimodular when det is not +1 or -1.
         """
-        det, inv = self._eliminate(True)
+        det, inv = self._eliminate()
         if inv is None or (det != 1 and det != -1):
             raise NotUnimodular(det)
         return inv
 
-    def _eliminate(self, invert: bool) -> "tuple[Polynomial, PolyMatrix | None]":
-        # Gauss-Jordan on [M | E], or on M alone for det, over the Euclidean
-        # domain Q[q]; returns (det, inverse or None).  A column's pivot is
-        # the live row (col..n-1, nonzero entry) of least degree, the first
-        # on ties.  While it is not constant, subtracting its quotient
-        # multiples from the other live rows leaves them of lower degree, so
-        # the pivot degree falls every round.  Row additions keep det, a
+    def _eliminate(self) -> "tuple[Polynomial, PolyMatrix | None]":
+        # Gauss-Jordan on [M | E] over the Euclidean domain Q[q]; returns
+        # (det, inverse or None).  A column's pivot is the live row
+        # (col..n-1, nonzero entry) of least degree, the first on ties.
+        # While it is not constant, subtracting its quotient multiples from
+        # the other live rows leaves them of lower degree, so the pivot
+        # degree falls every round.  Row additions keep det, a
         # swap negates it and scaling a row by 1/c divides it by c, so det is
         # the sign of the swaps times the pivots as chosen.  A non-constant
         # pivot alone in its column makes det a non-unit: inverting stops
         # and only the rows below are cleared from then on.
         n = self.n
-        m = [list(row) + ([_ONE if j == i else _ZERO for j in range(n)] if invert else [])
+        m = [list(row) + [_ONE if j == i else _ZERO for j in range(n)]
              for i, row in enumerate(self.rows)]
         det = _ONE
+        invert = True
         for col in range(n):
             while True:
                 live = [r for r in range(col, n) if m[r][col].coeffs]
@@ -473,11 +474,7 @@ class PolyMatrix:
         return [[e.evaluate(q0) for e in row] for row in self.rows]
 
     def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
-        return "\n".join(
-            "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.n)) + " ]"
-            for i in range(self.n))
+        return grid_text([[str(e) for e in row] for row in self.rows])
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.n}x{self.n})"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, count, islice, permutations, zip_longest
+from itertools import chain, compress, count, islice, permutations, zip_longest
 from math import ceil, comb
 
 from qcox.errors import QuiverSyntaxError, ValidationError
@@ -440,6 +440,16 @@ def pack_rows(rows, w: int) -> list[list[int]]:
     return packed
 
 
+def norm(rows) -> int:
+    """The largest sum of |coefficient| over one row's Polynomial entries,
+    at least 1.
+
+    It bounds every coefficient, and norm(A*B) <= norm(A) * norm(B), as
+    |a*b|_1 <= |a|_1 |b|_1 for the sums |.|_1 of |coefficient|."""
+    return max(1, ceil(max(sum(map(abs, chain.from_iterable(e.coeffs for e in row)))
+                           for row in rows)))
+
+
 def gamma_norms(rows) -> list[int]:
     """The norm of each Cartan reflection row, -A_ij and 1 - A_ii for
     A = X + X^T and X with these Polynomial rows, summed exactly from the
@@ -470,7 +480,6 @@ def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_
     from qcox.algebra import cartan_inverse, cartan_matrix
     from qcox.coxeter import _graph_row, _gram2, sigma_reflect
     from qcox.errors import DegreeCapExceeded, NotUnimodular
-    from qcox.polyring import norm
     quiver = bq.quiver
     counts = quiver.edge_counts()
     acyclic = quiver.is_acyclic()
@@ -764,10 +773,47 @@ def verify_json_obj(reports) -> dict:
                         for label, report in reports]}
 
 
-def matrix_json_obj(m: PolyMatrix) -> dict:
+def matrix_json_obj(m: PolyMatrix, at_q: Fraction | None = None) -> dict:
     """The object whose ``json.dumps(obj, indent=2)`` ``cli.render_matrix``
-    writes for a matrix without ``--at-q``."""
-    return {"n": m.n, "entries": [[e.to_coeff_strings() for e in row] for row in m.rows]}
+    writes for a matrix, with ``--at-q`` when at_q is given."""
+    if at_q is None:
+        return {"n": m.n, "entries": [[e.to_coeff_strings() for e in row] for row in m.rows]}
+    return {"n": m.n, "at_q": str(at_q),
+            "entries": [[str(value_at(e, at_q)) for e in row] for row in m.rows]}
+
+
+def value_at(p: Polynomial, q0) -> Fraction:
+    """p(q0) as the sum of its terms c * q0^k."""
+    return sum((Fraction(c) * Fraction(q0) ** k for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def poly_text_reference(p: Polynomial, latex: bool = False) -> str:
+    """p as signed terms, written term by term as ``str`` (plain) and
+    ``cli.poly_latex`` (LaTeX) write it: 1-q, (3/2)q^2, \\frac{3}{2}q^{2}."""
+    def number(mag) -> str:
+        if mag.denominator == 1:
+            return str(mag.numerator)
+        if latex:
+            return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        return f"{mag.numerator}/{mag.denominator}"
+
+    parts = []
+    for deg, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        mag = abs(Fraction(c))
+        if deg == 0:
+            body = number(mag)
+        else:
+            var = "q" if deg == 1 else (f"q^{{{deg}}}" if latex else f"q^{deg}")
+            if mag == 1:
+                body = var
+            elif mag.denominator == 1 or latex:
+                body = number(mag) + var
+            else:
+                body = f"({number(mag)}){var}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
 
 
 def poly_from_coeff_strings(items) -> Polynomial:

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcox.algebra import GradedDimTable, cartan_matrix, graded_dims
-from qcox.cli import _dims_json, _verify_json, main, poly_latex, render_matrix
+from qcox.cli import (_dims_json, _rational_latex, _verify_json, main, poly_latex,
+                      render_matrix, render_poly, render_vector)
 from qcox.coxeter import CheckReport, CheckResult
-from qcox.polyring import Polynomial, PolyMatrix
-from qcox.quiverdsl import json_text, parse_quiver
+from qcox.polyring import Polynomial, PolyMatrix, format_rational
+from qcox.quiverdsl import parse_quiver
 
 from oracles import (dims_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
-                     matrix_from_json_obj, matrix_json_obj, verify_json_obj)
+                     matrix_from_json_obj, matrix_json_obj, poly_text_reference, value_at,
+                     verify_json_obj)
 
 A3_TEXT = """
 quiver a3 {
@@ -158,6 +160,46 @@ def test_matrix_json_writer_matches_json_dumps(m):
     assert render_matrix(m, "json", None) == json.dumps(matrix_json_obj(m), indent=2)
 
 
+at_q_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), sparse_matrices()), at_q_st)
+@example(PolyMatrix([[0]]), Fraction(2))
+@example(PolyMatrix([[Polynomial([1, -1])]]), Fraction(0))
+@example(PolyMatrix([[sparse_entry({0: 1, 3: -2}), 0],
+                     [Polynomial([Fraction(-3, 4), 0, 1]), Polynomial([0, 5])]]), Fraction(-1, 2))
+@example(PolyMatrix([[Polynomial([0, 1, 1]), 0], [0, 0]]), Fraction(3, 2))
+def test_matrix_json_at_q_writer_matches_json_dumps(m, at_q):
+    assert render_matrix(m, "json", at_q) == json.dumps(matrix_json_obj(m, at_q), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(entry_st, sparse_entry_st), min_size=1, max_size=4),
+       st.one_of(st.none(), at_q_st))
+@example([Polynomial([])], None)
+@example([Polynomial([Fraction(3, 2), 0, -1]), Polynomial([0, 1])], None)
+@example([Polynomial([1, -1]), Polynomial([])], Fraction(-1, 2))
+def test_vector_and_poly_write_each_entry_as_it_is_written_alone(entries, at_q):
+    # plain: str or format_rational of each entry; LaTeX: poly_latex or
+    # _rational_latex; the terms as the reference term writer gives them
+    for fmt, write, value in (("plain", str, format_rational),
+                              ("latex", poly_latex, _rational_latex)):
+        if at_q is None:
+            texts = [write(e) for e in entries]
+            assert texts == [poly_text_reference(e, fmt == "latex") for e in entries]
+        else:
+            texts = [value(value_at(e, at_q)) for e in entries]
+        assert [render_poly(e, fmt, at_q) for e in entries] == texts
+        body = f"({', '.join(texts)})" + ("^T" if fmt == "latex" else "")
+        assert render_vector(entries, fmt, at_q) == body
+        assert render_vector(entries, fmt, at_q, label="P(1): ") == "P(1): " + body
+    values = [e.to_coeff_strings() if at_q is None else format_rational(value_at(e, at_q))
+              for e in entries]
+    assert render_vector(entries, "json", at_q) == json.dumps(values, indent=2)
+    assert render_poly(entries[0], "json", at_q) == json.dumps(values[0], indent=2)
+
+
 _json_str = st.text(alphabet=st.sampled_from('ab_1 "\\/\n\té✓\x00\u2028'), max_size=10)
 
 
@@ -171,10 +213,9 @@ def check_reports(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_json_str, check_reports()), max_size=3))
 @example([("input", CheckReport((CheckResult("x", "skipped", 'a "b" \\ c \u00fc\u2713'),)))])
-def test_verify_json_writer_matches_json_text(reports):
+def test_verify_json_writer_matches_json_dumps(reports):
     payload = verify_json_obj(reports)
-    assert json_text(payload) == json.dumps(payload, indent=2)
-    assert _verify_json(payload["passed"], reports) == json_text(payload)
+    assert _verify_json(payload["passed"], reports) == json.dumps(payload, indent=2)
 
 
 @st.composite
@@ -190,11 +231,10 @@ def dim_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(dim_tables())
 @example((GradedDimTable(1, 1, {(0, 0): [1]}), ["1"]))
-def test_dims_json_writer_matches_json_text(case):
+def test_dims_json_writer_matches_json_dumps(case):
     table, names = case
     payload = dims_json_obj(table, names)
-    assert json_text(payload) == json.dumps(payload, indent=2)
-    assert _dims_json(table, names) == json_text(payload)
+    assert _dims_json(table, names) == json.dumps(payload, indent=2)
 
 
 def test_dims_json_writer_on_graded_dims():
@@ -618,7 +658,6 @@ def test_matrix_writes_each_distinct_entry_once_in_every_format(monkeypatch):
     # written on its own gives
     import qcox.cli as cli_module
     from qcox.coxeter import coxeter_matrix_bound
-    from qcox.polyring import format_rational
     from qcox.quiverdsl import BoundQuiver
     from test_cli_golden import golden_quivers
     phi = coxeter_matrix_bound(BoundQuiver(golden_quivers()["A30"]))

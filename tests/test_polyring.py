@@ -9,7 +9,7 @@ from qcox import polyring
 from qcox.algebra import cartan_matrix
 from qcox.errors import NotUnimodular, QcoxError
 from qcox.polyring import (MINUS_ONE, ONE, Q, ZERO, Polynomial, PolyMatrix, _quotient,
-                           echelon, format_rational, norm, pack, packed_combination,
+                           echelon, format_rational, pack, packed_combination,
                            row_combination,
                            parse_rational, rank_rational, slot_width)
 
@@ -17,9 +17,9 @@ from oracles import (constant_value, degree, det_permutation_sum, gauss_pivot_co
                      gauss_rank,
                      is_constant, is_identity, is_lower_unitriangular, is_symmetric,
                      koszul_inverse, matrix_from_json_obj, matrix_json_obj, mul_vector,
-                     naive_matmul, naive_sink_order, permuted, poly_from_coeff_strings,
-                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, scaled,
-                     unpack)
+                     naive_matmul, naive_sink_order, norm, permuted, poly_from_coeff_strings,
+                     poly_text_reference, random_cyclic_bound_quiver,
+                     random_quadratic_monomial_quiver, scaled, unpack, value_at)
 
 
 def P(*coeffs):
@@ -112,6 +112,22 @@ def test_evaluate():
     p = P(1, -2, 3)
     assert p.evaluate(Fraction(1, 2)) == 1 - 1 + Fraction(3, 4)
     assert p.evaluate(0) == 1
+
+
+@given(poly_st, st.one_of(st.integers(-4, 4),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+@example(P(1, -2, 3), Fraction(2))
+@example(P(Fraction(1, 2), 0, 1), Fraction(-3))
+def test_evaluate_gives_the_fraction_sum_of_terms(p, q0):
+    # at an integral point Horner runs in ints; the value is a Fraction either way
+    value = p.evaluate(q0)
+    assert type(value) is Fraction and value == value_at(p, q0)
+
+
+@given(poly_st)
+@example(P(Fraction(-3, 2), 1, 0, Fraction(5, 3), -1))
+def test_str_writes_the_terms_as_the_reference_writer(p):
+    assert str(p) == poly_text_reference(p)
 
 
 @settings(max_examples=150)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qcox.errors import QcoxError, QuiverSyntaxError, ValidationError
 from qcox.quiverdsl import (Arrow, BoundQuiver, Path, Quiver, Relation, _relation_issues,
-                            _tokenize, emit_json, emit_text, json_text, load_file, parse_json,
+                            _tokenize, emit_json, emit_text, load_file, parse_json,
                             parse_json_obj, parse_quiver, validate)
 
 from oracles import (naive_sink_order, neighbours, parse_quiver_reference, path_from_arrows,
@@ -706,17 +706,3 @@ def test_parse_json_obj_fuzz_raises_only_typed_errors(obj):
         parse_json_obj(obj)
     except (QcoxError, ValueError):
         pass
-
-
-_layout_value = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
-              st.sampled_from(["", "\"", "\\", "\n\t", "é", "\u2603", "\x00", "\U0001f600"])),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
-                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_layout_value)
-def test_json_text_is_json_dumps_indent_2(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
