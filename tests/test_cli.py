@@ -180,6 +180,7 @@ def test_matrix_json_at_q_writer_matches_json_dumps(m, at_q):
 @example([Polynomial([])], None)
 @example([Polynomial([Fraction(3, 2), 0, -1]), Polynomial([0, 1])], None)
 @example([Polynomial([1, -1]), Polynomial([])], Fraction(-1, 2))
+@example([Polynomial([Fraction(-3, 2), 1, 0, Fraction(5, 3), -1])], None)
 def test_vector_and_poly_write_each_entry_as_it_is_written_alone(entries, at_q):
     # plain: str or format_rational of each entry; LaTeX: poly_latex or
     # _rational_latex; the terms as the reference term writer gives them

@@ -18,8 +18,8 @@ from oracles import (constant_value, degree, det_permutation_sum, gauss_pivot_co
                      is_constant, is_identity, is_lower_unitriangular, is_symmetric,
                      koszul_inverse, matrix_from_json_obj, matrix_json_obj, mul_vector,
                      naive_matmul, naive_sink_order, norm, permuted, poly_from_coeff_strings,
-                     poly_text_reference, random_cyclic_bound_quiver,
-                     random_quadratic_monomial_quiver, scaled, unpack, value_at)
+                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, scaled,
+                     unpack, value_at)
 
 
 def P(*coeffs):
@@ -122,12 +122,6 @@ def test_evaluate_gives_the_fraction_sum_of_terms(p, q0):
     # at an integral point Horner runs in ints; the value is a Fraction either way
     value = p.evaluate(q0)
     assert type(value) is Fraction and value == value_at(p, q0)
-
-
-@given(poly_st)
-@example(P(Fraction(-3, 2), 1, 0, Fraction(5, 3), -1))
-def test_str_writes_the_terms_as_the_reference_writer(p):
-    assert str(p) == poly_text_reference(p)
 
 
 @settings(max_examples=150)
