@@ -403,42 +403,32 @@ def check_path_limits(quiver: Quiver, degree_cap: int = DEFAULT_DEGREE_CAP,
     _vanishing_degree(quiver, _path_steps(quiver.arrow_counts()), degree_cap, max_dim)
 
 
-def inverse_cells(bq: BoundQuiver, cartan: PolyMatrix | None = None
+def inverse_cells(bq: BoundQuiver, cartan: PolyMatrix | GradedDimTable | None = None,
+                  degree_cap: int = DEFAULT_DEGREE_CAP, max_dim: int = DEFAULT_MAX_DIM
                   ) -> dict[tuple[int, int], list]:
     """C^-1 for bq's own Cartan matrix C as its nonzero cells (i, j) ->
-    coefficients, as ``GradedDimTable.cells`` gives C: E - qB for the arrow
-    counts B without relations (see the module docstring), else the nonzero
-    entries of ``cartan.inverse_unimodular()``, which raises NotUnimodular.
-    Only then is C read, and computed under the default limits when not
-    given."""
+    coefficients, as ``GradedDimTable.cells`` gives C (``cell_matrix`` makes
+    either a matrix): E - qB for the arrow counts B without relations (see
+    the module docstring), else the nonzero entries of
+    ``cartan.inverse_unimodular()``, which raises NotUnimodular.  Only then
+    is ``cartan``, C as a matrix or as its table, read.  When it is not
+    given, what ``cartan_matrix`` raises under the limits is raised too, by
+    ``check_path_limits`` alone without relations."""
     if bq.relations:
         if cartan is None:
-            cartan = cartan_matrix(bq)
+            cartan = cartan_matrix(bq, degree_cap, max_dim)
+        elif isinstance(cartan, GradedDimTable):
+            cartan = cartan.cartan()
         return {(i, j): list(e.coeffs) for i, row in enumerate(cartan.inverse_unimodular().rows)
                 for j, e in enumerate(row) if e}
+    if cartan is None:
+        check_path_limits(bq.quiver, degree_cap, max_dim)
     cells = {}
     for i, row in enumerate(bq.quiver.arrow_counts()):
         for j in compress(count(), row):
             cells[i, j] = [0, -row[j]]
         cells[i, i] = [1, -row[i]] if row[i] else [1]
     return cells
-
-
-def cartan_inverse(bq: BoundQuiver, cartan: PolyMatrix | None = None,
-                   degree_cap: int = DEFAULT_DEGREE_CAP,
-                   max_dim: int = DEFAULT_MAX_DIM) -> PolyMatrix:
-    """C^-1 for bq's own Cartan matrix C: ``cartan.inverse_unimodular()``
-    with relations, which raises NotUnimodular, else the matrix of
-    ``inverse_cells``.  Without a given C, what ``cartan_matrix`` raises
-    under the limits is raised too: by ``check_path_limits`` alone when
-    there are no relations."""
-    if bq.relations:
-        if cartan is None:
-            cartan = cartan_matrix(bq, degree_cap, max_dim)
-        return cartan.inverse_unimodular()
-    if cartan is None:
-        check_path_limits(bq.quiver, degree_cap, max_dim)
-    return cell_matrix(bq.quiver.n, inverse_cells(bq))
 
 
 KINDS = ("simple", "projective", "injective")

@@ -239,7 +239,8 @@ def _cmd_forms(args, bq: BoundQuiver) -> int:
     x = _parse_vector(args.x, bq.quiver.n)
     y = _parse_vector(args.y, bq.quiver.n)
     # C^-1 alone; without relations it needs no C
-    inverse = algebra.cartan_inverse(bq, None, args.degree_cap, args.max_dim)
+    inverse = algebra.cell_matrix(bq.quiver.n, algebra.inverse_cells(
+        bq, None, args.degree_cap, args.max_dim))
     if args.symmetric:
         value = coxeter.symmetric_euler_form(None, x, y, inverse)
         name = "symmetric"

@@ -90,7 +90,8 @@ of the bound, read only the nonzero entries.
 
 ``coxeter_matrix_graph``, ``coxeter_matrix_bound`` and the forms stay on
 Polynomial rows, where packing the inputs and unpacking the result would
-cost more than the product.  ``coxeter_matrix_bound`` forms
+cost more than the product.  The four forms are one kernel x^T M y
+(``_form``), on the rows of C^-1 or of G.  ``coxeter_matrix_bound`` forms
 Phi^T = -X^T C, X = C^-1, one row at a time: row j is the combination of
 C's rows that column j of -X names, read off the cells of X, and Phi is
 its transpose.  For X = E - qB without relations every coefficient is a
@@ -117,9 +118,7 @@ from .polyring import (MINUS_ONE, ZERO, Polynomial, PolyMatrix, pack,
                        packed_combination, poly_vector, row_combination, slot_width)
 from .quiverdsl import Arrow, BoundQuiver, Quiver
 
-_HALF_Q = Polynomial([0, Fraction(1, 2)])
 _TWO = Polynomial([2])
-_Q = Polynomial([0, 1])
 
 
 # --- admissible numberings ---------------------------------------------------
@@ -242,40 +241,27 @@ def gram_matrix(quiver: Quiver) -> PolyMatrix:
                              for row in _gram2(quiver.edge_counts())])
 
 
-def bilinear_form_graph(quiver: Quiver, x, y) -> Polynomial:
-    """Symmetric bilinear form: the coordinate dot product minus q/2 times
-    the sum over arrows of the two cross terms at the arrow's endpoints."""
+def _form(rows, x, y) -> Polynomial:
+    # x^T M y for the matrix M with these rows: x^T M is one combination of
+    # M's rows, and its dot product with y is another
     xv, yv = poly_vector(x), poly_vector(y)
-    n = quiver.n
-    if len(xv) != n or len(yv) != n:
-        raise ValueError(f"vectors must have length {n}")
-    dot = Polynomial()
-    for a, b in zip(xv, yv):
-        dot = dot + a * b
-    cross = Polynomial()
-    for arrow in quiver.arrows:
-        cross = cross + xv[arrow.source] * yv[arrow.target] + xv[arrow.target] * yv[arrow.source]
-    return dot - _HALF_Q * cross
+    if len(xv) != len(rows) or len(yv) != len(rows):
+        raise ValueError(f"vectors must have length {len(rows)}")
+    xm = row_combination(xv, rows)
+    return row_combination(yv, [(e,) for e in xm])[0]
+
+
+def bilinear_form_graph(quiver: Quiver, x, y) -> Polynomial:
+    """Symmetric bilinear form x^T G y (``gram_matrix``): the coordinate dot
+    product minus q/2 times the sum over arrows of the two cross terms at
+    the arrow's endpoints."""
+    return _form(gram_matrix(quiver).rows, x, y)
 
 
 def quadratic_form_graph(quiver: Quiver, x) -> Polynomial:
     """Quadratic form: sum of squares minus q times the edge-count-weighted
-    products over vertex pairs.  Equals the bilinear form on (x, x)."""
-    xv = poly_vector(x)
-    n = quiver.n
-    if len(xv) != n:
-        raise ValueError(f"vector must have length {n}")
-    counts = quiver.arrow_counts()
-    total = Polynomial()
-    for i in range(n):
-        total = total + xv[i] * xv[i]
-        if counts[i][i]:
-            total = total - _Q * counts[i][i] * xv[i] * xv[i]
-        for j in range(i + 1, n):
-            pair = counts[i][j] + counts[j][i]
-            if pair:
-                total = total - _Q * pair * xv[i] * xv[j]
-    return total
+    products over vertex pairs, which is the bilinear form on (x, x)."""
+    return bilinear_form_graph(quiver, x, x)
 
 
 def sigma_reflect(quiver: Quiver, vertex: int) -> Quiver:
@@ -331,8 +317,7 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
     method="reflections" multiplies Cartan reflections along an admissible
     numbering and additionally needs the quiver to be acyclic.  The two
     agree on acyclic input.  ``cartan``, if given, is bq's own Cartan
-    matrix; C^-1 comes from ``algebra.inverse_cells`` for "cartan" and
-    from ``algebra.cartan_inverse`` for "reflections".  Without relations
+    matrix; C^-1 comes from ``algebra.inverse_cells``.  Without relations
     C^-1 = E - qB, so A = 2E - q(B + B^T) and the Cartan reflection rows
     are the graph rows: the reflection product multiplies those and needs
     no C.
@@ -357,7 +342,8 @@ def coxeter_matrix_bound(bq: BoundQuiver, method: str = "cartan",
         return coxeter_matrix_graph(bq.quiver)
     # with relations the numbering (NotAcyclic) comes before C^-1 (NotUnimodular)
     numbering = admissible_numbering(bq.quiver)
-    form = symmetric_form_matrix(cartan, algebra.cartan_inverse(bq, cartan))
+    inverse = algebra.cell_matrix(cartan.n, algebra.inverse_cells(bq, cartan))
+    form = symmetric_form_matrix(cartan, inverse)
     return PolyMatrix._make(_reflection_product(
         numbering, lambda v: _gamma_row(form.rows[v], v), PolyMatrix.identity(form.n).rows))
 
@@ -367,13 +353,7 @@ def euler_form(cartan: PolyMatrix | None, x, y,
     """Bilinear Euler form x^T C^-1 y; vector entries may be polynomials."""
     if inverse is None:
         inverse = cartan.inverse_unimodular()
-    xv, yv = poly_vector(x), poly_vector(y)
-    if len(xv) != inverse.n or len(yv) != inverse.n:
-        raise ValueError(f"vectors must have length {inverse.n}")
-    # x^T C^-1 is one combination of C^-1's rows, and its dot product with
-    # y is another
-    xm = row_combination(xv, inverse.rows)
-    return row_combination(yv, [(e,) for e in xm])[0]
+    return _form(inverse.rows, x, y)
 
 
 def symmetric_euler_form(cartan: PolyMatrix | None, x, y,
@@ -381,7 +361,7 @@ def symmetric_euler_form(cartan: PolyMatrix | None, x, y,
     """Symmetrized Euler form (x, y) = x^T A y / 2 with A = C^-1 + C^-T."""
     if inverse is None:
         inverse = cartan.inverse_unimodular()
-    half = euler_form(cartan, x, y, inverse) + euler_form(cartan, y, x, inverse)
+    half = _form(inverse.rows, x, y) + _form(inverse.rows, y, x)
     return Polynomial([Fraction(1, 2)]) * half
 
 
@@ -517,10 +497,10 @@ def verify_identities(bq: BoundQuiver, degree_cap: int = DEFAULT_DEGREE_CAP,
            "relation_free": "requires a relation-free quiver" if bq.relations else ""}
 
     # the cells of C, from the graded dimensions, and of C^-1, shared by
-    # everything below; C^-1 reads C only with relations
+    # everything below; C^-1 reads C, from the same table, only with relations
     try:
         dims = algebra.graded_dims(bq, degree_cap, max_dim)
-        inverse = algebra.inverse_cells(bq, dims.cartan() if bq.relations else None)
+        inverse = algebra.inverse_cells(bq, dims)
         why["inverse"] = ""
     except DegreeCapExceeded as exc:
         why["inverse"] = f"graded dimensions did not terminate ({exc})"

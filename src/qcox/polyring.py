@@ -183,14 +183,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate(self, q0) -> Fraction:
-        """Evaluate at an exact rational point (Horner; in ints at an
-        integral point, which costs far less than in Fractions)."""
-        if q0.denominator == 1:
-            q0 = q0.numerator
-        acc = 0
+        """Evaluate at an exact rational point a/b: sum_k c_k a^k b^(d-k) / b^d
+        for the degree d, by one Horner pass, in ints for int coefficients,
+        which costs far less than in Fractions, and one division."""
+        a, b = q0.numerator, q0.denominator
+        acc, scale = 0, 1       # scale is b^(terms so far)
         for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return Fraction(acc)
+            acc = acc * a + c * scale
+            scale *= b
+        return Fraction(acc * b, scale)
 
     def to_coeff_strings(self) -> list[str]:
         """Serialize as ascending coefficient strings, e.g. 1+2q^2 -> ["1","0","2"]."""

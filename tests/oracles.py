@@ -477,7 +477,7 @@ def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_
     what the verifier raises."""
     from math import prod
 
-    from qcox.algebra import cartan_inverse, cartan_matrix
+    from qcox.algebra import cartan_matrix, cell_matrix, inverse_cells
     from qcox.coxeter import _graph_row, _gram2, sigma_reflect
     from qcox.errors import DegreeCapExceeded, NotUnimodular
     quiver = bq.quiver
@@ -485,7 +485,7 @@ def verifier_slot_bound(bq: BoundQuiver, degree_cap: int = 64, max_dim: int = 1_
     acyclic = quiver.is_acyclic()
     try:
         cartan = cartan_matrix(bq, degree_cap, max_dim)
-        inverse = cartan_inverse(bq, cartan)
+        inverse = cell_matrix(cartan.n, inverse_cells(bq, cartan))
     except (DegreeCapExceeded, NotUnimodular):
         cartan = None
     flipped = []
@@ -848,6 +848,44 @@ def mul_vector(m: PolyMatrix, vec) -> tuple[Polynomial, ...]:
     if len(v) != m.n:
         raise ValueError(f"vector length {len(v)} != matrix order {m.n}")
     return row_combination(v, tuple(zip(*m.rows)))
+
+
+def bilinear_form_reference(quiver, x, y) -> Polynomial:
+    """The graph's bilinear form arrow by arrow: the coordinate dot product
+    minus q/2 times the two cross terms at each arrow's endpoints."""
+    xv, yv = poly_vector(x), poly_vector(y)
+    dot = Polynomial()
+    for a, b in zip(xv, yv):
+        dot = dot + a * b
+    cross = Polynomial()
+    for arrow in quiver.arrows:
+        cross = cross + xv[arrow.source] * yv[arrow.target] + xv[arrow.target] * yv[arrow.source]
+    return dot - Polynomial([0, Fraction(1, 2)]) * cross
+
+
+def quadratic_form_reference(quiver, x) -> Polynomial:
+    """The graph's quadratic form pair by pair: the sum of squares minus q
+    times each loop count times x_i^2 and each vertex pair's arrow count
+    times x_i x_j."""
+    xv = poly_vector(x)
+    counts = quiver.arrow_counts()
+    q = Polynomial([0, 1])
+    total = Polynomial()
+    for i in range(quiver.n):
+        total = total + xv[i] * xv[i] - q * counts[i][i] * xv[i] * xv[i]
+        for j in range(i + 1, quiver.n):
+            total = total - q * (counts[i][j] + counts[j][i]) * xv[i] * xv[j]
+    return total
+
+
+def form_reference(m: PolyMatrix, x, y) -> Polynomial:
+    """x^T M y as the sum of x_i M_ij y_j over every entry."""
+    xv, yv = poly_vector(x), poly_vector(y)
+    total = Polynomial()
+    for i, row in enumerate(m.rows):
+        for j, e in enumerate(row):
+            total = total + xv[i] * e * yv[j]
+    return total
 
 
 def permuted(m: PolyMatrix, order) -> PolyMatrix:

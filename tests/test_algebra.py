@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import qcox.algebra as algebra_module
 from qcox.algebra import (DEFAULT_MAX_DIM, _normal_word_dims, _path_steps, _path_totals,
-                          _vanishing_degree, cartan_inverse, cartan_matrix, dim_vector,
-                          graded_dims)
+                          _vanishing_degree, cartan_matrix, cell_matrix, dim_vector,
+                          graded_dims, inverse_cells)
 from qcox.errors import DegreeCapExceeded, DimensionBudgetExceeded, NotUnimodular
 from qcox.polyring import Polynomial, PolyMatrix
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, Relation, parse_quiver
@@ -207,8 +207,13 @@ def _chain(n: int, parallel: int) -> Quiver:
                         for v in range(n - 1) for c in range(parallel)))
 
 
+def _inverse(bq, *args):
+    # the matrix of inverse_cells(bq, *args)
+    return cell_matrix(bq.quiver.n, inverse_cells(bq, *args))
+
+
 def test_cartan_inverse_closed_form_matches_elimination_and_koszul_dual(double_arrow_chain):
-    # without relations cartan_inverse is E - q*B; the elimination and the
+    # without relations inverse_cells is E - q*B; the elimination and the
     # Koszul dual (C^-1(q) = C_{A!}(-q)^T) must give the same matrix
     rng = random.Random(83)
     quivers = [random_acyclic_quiver(rng, 2, 9) for _ in range(40)]
@@ -219,7 +224,7 @@ def test_cartan_inverse_closed_form_matches_elimination_and_koszul_dual(double_a
     for quiver in quivers:
         bq = BoundQuiver(quiver)
         c = cartan_matrix(bq)
-        assert cartan_inverse(bq, c) == c.inverse_unimodular() == koszul_inverse(bq)
+        assert _inverse(bq, c) == c.inverse_unimodular() == koszul_inverse(bq)
         with_parallel += any(m > 1 for row in quiver.arrow_counts() for m in row)
     assert with_parallel >= 15
 
@@ -239,15 +244,15 @@ def test_cartan_inverse_with_relations_is_the_elimination(three_cycle, double_ar
             expected = c.inverse_unimodular()
         except NotUnimodular as exc:
             with pytest.raises(NotUnimodular) as raised:
-                cartan_inverse(bq, c)
+                inverse_cells(bq, c)
             assert str(raised.value) == str(exc)
             refused += 1
             continue
-        assert cartan_inverse(bq, c) == expected
+        assert _inverse(bq, c) == expected
         inverted += 1
     assert inverted >= 20 and refused >= 5
     with pytest.raises(NotUnimodular):
-        cartan_inverse(three_cycle, cartan_matrix(three_cycle))
+        inverse_cells(three_cycle, cartan_matrix(three_cycle))
 
 
 def test_graded_dims_match_naive_oracle_random():
@@ -428,28 +433,57 @@ def test_cartan_inverse_without_c_raises_like_the_cartan_matrix():
         bq = _relation_free(rng, cyclic=k % 2 == 1)
         degree_cap = rng.randint(2, 7)
         max_dim = rng.choice((1, 2, 3, 5, 8, 20, 60, 10 ** 6))
-        outcome = _raised(cartan_inverse, bq, None, degree_cap, max_dim)
+        outcome = _raised(_inverse, bq, None, degree_cap, max_dim)
         try:
             c = cartan_matrix(bq, degree_cap, max_dim)
         except (DegreeCapExceeded, DimensionBudgetExceeded) as exc:
             assert outcome == (type(exc), str(exc), getattr(exc, "degree", None))
             seen.add(type(exc))
         else:
-            assert outcome == cartan_inverse(bq, c) == c.inverse_unimodular()
+            assert outcome == _inverse(bq, c) == c.inverse_unimodular()
             seen.add("inverse")
     assert seen == {"inverse", DegreeCapExceeded, DimensionBudgetExceeded}
     for bad in ((1, 10), (4, 0)):
         with pytest.raises(ValueError):
-            cartan_inverse(BoundQuiver(_chain(3, 1)), None, *bad)
+            inverse_cells(BoundQuiver(_chain(3, 1)), None, *bad)
 
 
 def test_cartan_inverse_without_c_computes_it_with_relations(double_arrow_chain, three_cycle):
-    assert cartan_inverse(double_arrow_chain) == \
+    assert _inverse(double_arrow_chain) == \
         cartan_matrix(double_arrow_chain).inverse_unimodular()
     with pytest.raises(NotUnimodular):
-        cartan_inverse(three_cycle)
+        inverse_cells(three_cycle)
     with pytest.raises(DegreeCapExceeded):
-        cartan_inverse(three_cycle, None, 2)
+        inverse_cells(three_cycle, None, 2)
+
+
+def test_inverse_cells_reads_c_from_its_table(monkeypatch, double_arrow_chain, three_cycle):
+    # C given as the table of graded_dims is C given: with relations its
+    # matrix is inverted, without them no limit is checked again
+    rng = random.Random(71)
+    cases = [random_bound_quiver(rng) for _ in range(20)]
+    cases += [random_cyclic_bound_quiver(rng) for _ in range(20)]
+    cases += [double_arrow_chain, three_cycle]
+    for bq in cases:
+        table = graded_dims(bq)
+        try:
+            expected = inverse_cells(bq, table.cartan())
+        except NotUnimodular as exc:
+            with pytest.raises(NotUnimodular) as raised:
+                inverse_cells(bq, table)
+            assert str(raised.value) == str(exc)
+        else:
+            assert inverse_cells(bq, table) == expected
+    chain = BoundQuiver(_chain(100, 1))
+    table = graded_dims(chain, 400)
+
+    def no_limits(*args):
+        raise AssertionError("limits checked again")
+
+    monkeypatch.setattr(algebra_module, "check_path_limits", no_limits)
+    assert inverse_cells(chain, table) == inverse_cells(chain, table.cartan())
+    with pytest.raises(AssertionError, match="limits checked again"):
+        inverse_cells(chain, None, 400)
 
 
 def test_parallel_arrow_chain_counts_powers_of_two():
@@ -496,14 +530,14 @@ def test_path_totals_run_only_where_a_limit_can_fire(monkeypatch):
                         lambda *args: calls.append(args[1:]) or real(*args))
     chain = BoundQuiver(_chain(60, 1))
     assert graded_dims(chain).max_degree == 60
-    cartan_inverse(chain)
+    inverse_cells(chain)
     for quiver in (random_acyclic_quiver(random.Random(seed)) for seed in range(20)):
         graded_dims(BoundQuiver(quiver))
     assert calls == []
     # 1770 paths of positive length, at most 59 in one degree
     assert graded_dims(chain, 60, 1769).max_degree == 60
     with pytest.raises(DegreeCapExceeded):
-        cartan_inverse(chain, None, 59)
+        inverse_cells(chain, None, 59)
     assert calls == [(60, 1769), (59, DEFAULT_MAX_DIM)]
 
 

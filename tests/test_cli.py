@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -597,6 +598,63 @@ def test_internal_error_exit_2(qv, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "cartan", qv("a3.qv", A3_TEXT))
     assert code == 2 and out == ""
     assert err == "error: InternalError: ArithmeticError: inexact polynomial division\n"
+
+
+_FUZZ_GENERATORS = ("bound", "acyclic", "cyclic", "monomial")
+_FUZZ_CHARS = "{}:;,*+-> \n\"[]/0123abquivertsxyz"
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """A random bound, acyclic, cyclic or monomial quiver as .qv or .json
+    text, then up to three random edits: a span deleted, duplicated or
+    replaced by characters of either syntax."""
+    from qcox.quiverdsl import BoundQuiver, emit_json, emit_text
+    from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
+    from oracles import random_cyclic_bound_quiver, random_quadratic_monomial_quiver
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    make = {"bound": random_bound_quiver,
+            "acyclic": lambda r: BoundQuiver(random_acyclic_quiver(r, 2, 6)),
+            "cyclic": random_cyclic_bound_quiver,
+            "monomial": random_quadratic_monomial_quiver}[draw(st.sampled_from(_FUZZ_GENERATORS))]
+    bq = make(rng)
+    suffix = draw(st.sampled_from((".qv", ".json")))
+    text = emit_text(bq) if suffix == ".qv" else emit_json(bq)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        edit = draw(st.sampled_from(("delete", "duplicate", "replace")))
+        middle = (text[i:j] * 2 if edit == "duplicate" else
+                  "" if edit == "delete" else draw(st.text(_FUZZ_CHARS, max_size=4)))
+        text = text[:i] + middle + text[j:]
+    return suffix, text, bq.quiver.n, bq.quiver.vertices[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_inputs())
+def test_every_command_keeps_the_exit_contract(case):
+    # exit 0, 1 or 2; 1 only from verify, exactly when it writes a FAIL
+    # line; never an InternalError
+    import contextlib
+    import io
+    import tempfile
+    suffix, text, n, vertex = case
+    x, y = ",".join(["1"] * n), ",".join(["0", "2"] * n)[:2 * n - 1]
+    commands = [["cartan"], ["coxeter", "--method=cartan"], ["coxeter", "--method=reflections"],
+                ["dims"], ["dims", "--projective"], ["forms", f"--x={x}", f"--y={y}"],
+                ["forms", "--symmetric", f"--x={x}", f"--y={y}"],
+                ["reflect", f"--vertex={vertex}"], ["numbering"], ["verify", "--random=1"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command, *options in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path, *options, "--degree-cap=8", "--max-dim=200"])
+            assert code in (0, 1, 2)
+            assert (code == 1) == (command == "verify" and "\nFAIL " in "\n" + out.getvalue())
+            assert "InternalError" not in err.getvalue()
 
 
 def test_output_determinism(qv, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcox.algebra import cartan_inverse, cartan_matrix
+from qcox.algebra import cartan_matrix, cell_matrix, inverse_cells
 from qcox.coxeter import (CheckReport, _braid_holds, _commutation_holds, _congruent,
                           _euler_form_invariant, _form_invariant, _gram2, _involution_holds,
                           _two_sided,
@@ -21,8 +21,9 @@ from qcox.polyring import ONE, Polynomial, PolyMatrix, pack, slot_width
 from qcox.quiverdsl import Arrow, BoundQuiver, Quiver, parse_quiver
 from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
-from oracles import (checks_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
-                     is_identity, is_symmetric, mul_vector, naive_matmul, pack_rows,
+from oracles import (bilinear_form_reference, checks_json_obj, form_reference, frac_inverse,
+                     frac_mul, frac_neg, frac_transpose, is_identity, is_symmetric, mul_vector,
+                     naive_matmul, pack_rows, quadratic_form_reference,
                      random_cyclic_bound_quiver, scaled)
 
 
@@ -165,24 +166,31 @@ def test_bilinear_form_goldens():
     assert bilinear_form_graph(A3, e[0], [0, 0, 0]) == 0
     two = bilinear_form_graph(KRONECKER, [1, 0], [0, 1])
     assert two == P(0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vectors must have length 3"):
         bilinear_form_graph(A3, [1, 0], [0, 1, 0])
+
+
+LOOPED = Quiver(("1", "2"), (Arrow("x", 0, 0), Arrow("u", 0, 1), Arrow("y", 0, 0)))
 
 
 def test_quadratic_form_goldens():
     assert quadratic_form_graph(A3, [1, 0, 0]) == 1
     assert quadratic_form_graph(A3, [1, 1, 1]) == P(3, -2)
+    assert quadratic_form_graph(LOOPED, [1, 1]) == P(2, -3)
+    with pytest.raises(ValueError, match="vectors must have length 3"):
+        quadratic_form_graph(A3, [1, 0])
     rng = random.Random(9)
     for _ in range(20):
         quiver = random_acyclic_quiver(rng)
         x = [rng.randint(-3, 3) for _ in range(quiver.n)]
-        assert quadratic_form_graph(quiver, x) == bilinear_form_graph(quiver, x, x)
+        assert quadratic_form_graph(quiver, x) == quadratic_form_reference(quiver, x)
 
 
 def test_gram_matrix_matches_bilinear_form():
+    # G and the form x^T G y against the arrow-by-arrow formula, on random
+    # vectors with polynomial entries too
     rng = random.Random(15)
-    for _ in range(10):
-        quiver = random_acyclic_quiver(rng)
+    for quiver in [random_acyclic_quiver(rng) for _ in range(10)] + [KRONECKER, LOOPED]:
         gram = gram_matrix(quiver)
         assert is_symmetric(gram)
         n = quiver.n
@@ -190,7 +198,12 @@ def test_gram_matrix_matches_bilinear_form():
             for j in range(n):
                 ei = [int(k == i) for k in range(n)]
                 ej = [int(k == j) for k in range(n)]
-                assert gram.entry(i, j) == bilinear_form_graph(quiver, ei, ej)
+                assert gram.entry(i, j) == bilinear_form_reference(quiver, ei, ej)
+        for _ in range(5):
+            x = [P(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)]
+            y = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            assert bilinear_form_graph(quiver, x, y) == bilinear_form_reference(quiver, x, y)
+            assert quadratic_form_graph(quiver, x) == quadratic_form_reference(quiver, x)
 
 
 def test_form_invariance_under_reflections():
@@ -300,7 +313,7 @@ def test_coxeter_matrix_bound_is_the_product_of_c_transpose_and_minus_the_invers
     for bq in quivers:
         c = cartan_matrix(bq)
         try:
-            x = cartan_inverse(bq, c)
+            x = cell_matrix(c.n, inverse_cells(bq, c))
         except NotUnimodular:
             continue
         seen[bq.quiver.is_acyclic(), bool(bq.relations)] += 1
@@ -354,8 +367,26 @@ def test_euler_form_goldens():
             ei = [int(k == i) for k in range(2)]
             ej = [int(k == j) for k in range(2)]
             assert euler_form(c, ei, ej) == inv.entry(i, j)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vectors must have length 2"):
         euler_form(c, [1], [1, 0])
+
+
+def test_euler_forms_match_the_sum_over_entries():
+    # x^T C^-1 y and x^T A y / 2 against the entry-by-entry sums, on bound
+    # quivers, with polynomial and rational vector entries
+    rng = random.Random(35)
+    for _ in range(10):
+        bq = random_bound_quiver(rng)
+        c = cartan_matrix(bq)
+        inverse = c.inverse_unimodular()
+        half_a = symmetric_form_matrix(c, inverse)
+        half_a = PolyMatrix([[P(Fraction(1, 2)) * e for e in row] for row in half_a.rows])
+        for _ in range(4):
+            x = [P(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(c.n)]
+            y = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c.n)]
+            assert euler_form(c, x, y) == euler_form(None, x, y, inverse) == \
+                form_reference(inverse, x, y)
+            assert symmetric_euler_form(c, x, y) == form_reference(half_a, x, y)
 
 
 def test_euler_form_coxeter_identities_random():
@@ -730,7 +761,7 @@ def test_verifier_bound_covers_phi_and_the_words(monkeypatch):
         bounds.clear()
         n, counts = quiver.n, quiver.edge_counts()
         c = cartan_matrix(bq)
-        inverse = cartan_inverse(bq, c)
+        inverse = cell_matrix(c.n, inverse_cells(bq, c))
         form = symmetric_form_matrix(c, inverse)
         eye = PolyMatrix.identity(n).rows
         phi = naive_matmul(c.transpose(), -inverse)
@@ -931,7 +962,7 @@ def test_euler_form_invariant_matches_matrix_products():
     for bq in quivers:
         c = cartan_matrix(bq)
         try:
-            inverse = cartan_inverse(bq, c)
+            inverse = cell_matrix(c.n, inverse_cells(bq, c))
         except NotUnimodular:
             continue
         cyclic += not bq.quiver.is_acyclic()
@@ -993,7 +1024,7 @@ def test_verifier_slot_bound_matches_the_polynomial_rows(monkeypatch):
 def test_packed_rows_from_counts_and_cells_are_the_packed_polynomial_rows(w):
     # C and C^-1 from their cells, on bound, cyclic and relation-free input,
     # and the graph rows and 2G from the edge counts
-    from qcox.algebra import graded_dims, inverse_cells
+    from qcox.algebra import graded_dims
     from qcox.coxeter import _graph_row, _pack_cells, _packed_graph_rows, _packed_gram2
     from qcox.errors import QcoxError
     seen = Counter()
@@ -1008,7 +1039,7 @@ def test_packed_rows_from_counts_and_cells_are_the_packed_polynomial_rows(w):
             assert _pack_cells(table.cells, quiver.n, w) == pack_rows(c.rows, w)
             seen["cells"] += 1
             try:
-                inverse = cartan_inverse(bq, c)
+                inverse = cell_matrix(c.n, inverse_cells(bq, c))
             except NotUnimodular:
                 with pytest.raises(NotUnimodular):
                     inverse_cells(bq, c)
@@ -1044,7 +1075,7 @@ def test_relation_free_verifier_builds_no_polynomial_matrix(monkeypatch):
     import qcox.coxeter as coxeter_module
     calls = Counter()
     _counting(monkeypatch, calls, (algebra_module, "cartan_matrix"),
-              (algebra_module, "cartan_inverse"), (algebra_module, "graded_dims"),
+              (algebra_module, "cell_matrix"), (algebra_module, "graded_dims"),
               (coxeter_module, "_graph_row"), (coxeter_module, "_gram2"))
     rng = random.Random(43)
     quivers = [_parallel_chain([1] * 24), _parallel_chain([2, 1, 3])]
@@ -1056,7 +1087,17 @@ def test_relation_free_verifier_builds_no_polynomial_matrix(monkeypatch):
         calls.clear()
     # with relations C is built once, from the same table
     assert verify_identities(DOUBLE_CHAIN).passed
-    assert calls == Counter({"graded_dims": 1})
+    assert calls == Counter({"graded_dims": 1, "cell_matrix": 1})
+
+
+def test_relation_free_verifier_reads_c_inverse_under_its_own_limits():
+    # A100 needs degree 100 > the default cap: at cap 400 every check that
+    # needs C^-1 runs, and the only skips are for the one numbering
+    report = verify_identities(_parallel_chain([1] * 99), degree_cap=400)
+    assert report.passed
+    assert {c.reason for c in report.checks if c.status == "skipped"} == \
+        {"only one admissible numbering available"}
+    assert sum(c.status == "pass" for c in report.checks) == 12
 
 
 def test_relation_free_reflection_product_forms_no_symmetric_form(monkeypatch):

@@ -118,8 +118,16 @@ def test_evaluate():
                           st.fractions(min_value=-3, max_value=3, max_denominator=4)))
 @example(P(1, -2, 3), Fraction(2))
 @example(P(Fraction(1, 2), 0, 1), Fraction(-3))
+@example(P(0, 0, -7, 0, 4), Fraction(-1, 2))
+@example(P(*[-3] * 9), Fraction(3, 2))
+@example(P(1, -2, 3), Fraction(1, 3))
+@example(P(Fraction(1, 2), 0, 1), Fraction(-1, 2))
+@example(P(2, Fraction(-5, 3), 4), Fraction(3, 2))
+@example(P(Fraction(7, 2)), Fraction(1, 3))
+@example(P(), Fraction(1, 3))
 def test_evaluate_gives_the_fraction_sum_of_terms(p, q0):
-    # at an integral point Horner runs in ints; the value is a Fraction either way
+    # Horner runs over a^k b^(d-k) at q0 = a/b, in ints for int coefficients,
+    # then divides once; the value is a Fraction either way
     value = p.evaluate(q0)
     assert type(value) is Fraction and value == value_at(p, q0)
 
