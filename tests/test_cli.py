@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -14,10 +17,12 @@ from qcox.cli import (_dims_json, _rational_latex, _verify_json, main, poly_late
                       render_matrix, render_poly, render_vector)
 from qcox.coxeter import CheckReport, CheckResult
 from qcox.polyring import Polynomial, PolyMatrix, format_rational
-from qcox.quiverdsl import parse_quiver
+from qcox.quiverdsl import BoundQuiver, emit_json, emit_text, parse_quiver
+from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
 
 from oracles import (dims_json_obj, frac_inverse, frac_mul, frac_neg, frac_transpose,
-                     matrix_from_json_obj, matrix_json_obj, poly_text_reference, value_at,
+                     matrix_from_json_obj, matrix_json_obj, poly_text_reference,
+                     random_cyclic_bound_quiver, random_quadratic_monomial_quiver, value_at,
                      verify_json_obj)
 
 A3_TEXT = """
@@ -600,7 +605,8 @@ def test_internal_error_exit_2(qv, capsys, monkeypatch):
     assert err == "error: InternalError: ArithmeticError: inexact polynomial division\n"
 
 
-_FUZZ_GENERATORS = ("bound", "acyclic", "cyclic", "monomial")
+_FUZZ_GENERATORS = (random_bound_quiver, lambda rng: BoundQuiver(random_acyclic_quiver(rng, 2, 6)),
+                    random_cyclic_bound_quiver, random_quadratic_monomial_quiver)
 _FUZZ_CHARS = "{}:;,*+-> \n\"[]/0123abquivertsxyz"
 
 
@@ -609,15 +615,8 @@ def fuzz_inputs(draw):
     """A random bound, acyclic, cyclic or monomial quiver as .qv or .json
     text, then up to three random edits: a span deleted, duplicated or
     replaced by characters of either syntax."""
-    from qcox.quiverdsl import BoundQuiver, emit_json, emit_text
-    from qcox.randquiver import random_acyclic_quiver, random_bound_quiver
-    from oracles import random_cyclic_bound_quiver, random_quadratic_monomial_quiver
-    rng = random.Random(draw(st.integers(0, 10 ** 6)))
-    make = {"bound": random_bound_quiver,
-            "acyclic": lambda r: BoundQuiver(random_acyclic_quiver(r, 2, 6)),
-            "cyclic": random_cyclic_bound_quiver,
-            "monomial": random_quadratic_monomial_quiver}[draw(st.sampled_from(_FUZZ_GENERATORS))]
-    bq = make(rng)
+    make = draw(st.sampled_from(_FUZZ_GENERATORS))
+    bq = make(random.Random(draw(st.integers(0, 10 ** 6))))
     suffix = draw(st.sampled_from((".qv", ".json")))
     text = emit_text(bq) if suffix == ".qv" else emit_json(bq)
     for _ in range(draw(st.integers(0, 3))):
@@ -635,9 +634,6 @@ def fuzz_inputs(draw):
 def test_every_command_keeps_the_exit_contract(case):
     # exit 0, 1 or 2; 1 only from verify, exactly when it writes a FAIL
     # line; never an InternalError
-    import contextlib
-    import io
-    import tempfile
     suffix, text, n, vertex = case
     x, y = ",".join(["1"] * n), ",".join(["0", "2"] * n)[:2 * n - 1]
     commands = [["cartan"], ["coxeter", "--method=cartan"], ["coxeter", "--method=reflections"],

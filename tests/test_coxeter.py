@@ -379,8 +379,8 @@ def test_euler_forms_match_the_sum_over_entries():
         bq = random_bound_quiver(rng)
         c = cartan_matrix(bq)
         inverse = c.inverse_unimodular()
-        half_a = symmetric_form_matrix(c, inverse)
-        half_a = PolyMatrix([[P(Fraction(1, 2)) * e for e in row] for row in half_a.rows])
+        half_a = PolyMatrix([[P(Fraction(1, 2)) * e for e in row]
+                             for row in symmetric_form_matrix(c, inverse).rows])
         for _ in range(4):
             x = [P(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(c.n)]
             y = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c.n)]
